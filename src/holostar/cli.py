@@ -41,11 +41,8 @@ VERIFY_ERROR = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation: command, I/O locations, and numeric knobs."""
+    """One resolved invocation's numeric knobs."""
 
-    command: str
-    input_path: str | None = None
-    output_format: str = "json"
     tolerance_overrides: dict = field(default_factory=dict)
     seed: int | None = None
 
@@ -235,7 +232,7 @@ def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances,
     env = seg.envelope
     worst = 0.0
     for j in range(samples):
-        t = env.duration * j / (samples - 1)
+        t = env.duration * (j / (samples - 1))
         u_t = (evecs * np.exp(-1j * env.partial_area(t) * evals)) @ evecs.conj().T
         h_t = env.amplitude(t) * h_unit
         for p in projs.values():
@@ -287,6 +284,8 @@ def _verify_circuit(circuit, arch, tol: Tolerances, shape: str) -> list[dict]:
 
 def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
     tol = _resolve_tolerances(config)
+    if args.samples < 2:
+        raise _UsageError(f"--samples must be at least 2, got {args.samples}")
     if args.random_circuits:
         rng = np.random.default_rng(config.seed)
         checks = []
@@ -391,9 +390,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "circuit", None) or getattr(args, "path", None),
-            output_format=args.format,
             tolerance_overrides=_parse_tol_overrides(args.tol),
             seed=getattr(args, "seed", None),
         )

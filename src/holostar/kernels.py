@@ -1,26 +1,8 @@
-"""State-vector gate application with a compiled core and a numpy fallback.
-
-The compiled extension is used when it imported cleanly and the gate is small
-enough for its fixed scratch buffers; setting ``HOLOSTAR_PURE_PYTHON=1`` in
-the environment forces the numpy path.  ``BACKEND`` records the choice.
-"""
-
-import os
+"""State-vector gate application: a numpy tensor contraction on the target axes."""
 
 import numpy as np
 
-from . import _fallback
-
-_EXT = None
-if not os.environ.get("HOLOSTAR_PURE_PYTHON"):
-    try:
-        from . import _statevec as _EXT
-    except ImportError:
-        _EXT = None
-
-BACKEND = "compiled" if _EXT is not None else "numpy"
-
-_EXT_MAX_TARGETS = 6
+BACKEND = "numpy"
 
 __all__ = ["BACKEND", "apply_gate", "apply_gate_inplace"]
 
@@ -41,15 +23,12 @@ def apply_gate_inplace(state, gate, targets):
     m = len(targets)
     if len(set(targets)) != m or any(not 0 <= q < n for q in targets):
         raise ValueError(f"invalid target qubits {targets} for {n} qubits")
-    gate = np.ascontiguousarray(gate, dtype=np.complex128)
+    gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (1 << m, 1 << m):
         raise ValueError(f"gate shape {gate.shape} does not match {m} target qubits")
-    if not gate.flags.writeable:
-        gate = gate.copy()  # the extension's memoryview requires a writable buffer
-    if _EXT is not None and m <= _EXT_MAX_TARGETS:
-        _EXT.apply_gate_inplace(state, gate.reshape(-1), np.asarray(targets, dtype=np.int64))
-    else:
-        _fallback.apply_gate_inplace(state, gate, targets)
+    t = np.moveaxis(state.reshape((2,) * n), targets, range(m))
+    out = (gate @ t.reshape(1 << m, -1)).reshape(t.shape)
+    state[:] = np.moveaxis(out, range(m), targets).reshape(-1)
 
 
 def apply_gate(state, gate, targets):

@@ -227,7 +227,7 @@ def verify_parallel_transport(spec: CouplingGateSpec, samples: int = 64,
     residuals = []
     commutator = 0.0
     for j in range(samples):
-        t = env.duration * j / (samples - 1)
+        t = env.duration * (j / (samples - 1))
         u_t = (evecs * np.exp(-1j * env.partial_area(t) * evals)) @ evecs.conj().T
         h_t = env.amplitude(t) * h_unit
         worst = 0.0

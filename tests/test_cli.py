@@ -169,6 +169,32 @@ def test_verify_half_area_coupling_fails(capsys, tmp_path):
     assert check["value"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
+def write_coupling_schedule(tmp_path, duration=1.0):
+    path = tmp_path / "coupling.json"
+    path.write_text(json.dumps({"n_register": 2, "segments": [
+        {"kind": "coupling", "pair": [0, 1], "mix_theta": 1.0,
+         "shape": "constant", "duration": duration, "area": 2 * PI},
+    ]}))
+    return str(path)
+
+
+def test_verify_coupling_grid_ends_on_duration(capsys, tmp_path):
+    # duration * j / (samples - 1) overshoots this duration by one ulp at the
+    # last sample; the grid must end exactly on it.
+    doc = run_json(capsys, "verify", write_coupling_schedule(tmp_path, 0.8667828438243994))
+    assert doc["passed"] is True
+    names = [c["name"] for c in doc["checks"]]
+    assert names == ["off_block_residual", "transport_residual", "holonomy_reconstruction"]
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_verify_rejects_fewer_than_two_samples(capsys, tmp_path, samples):
+    code, out, err = run(capsys, "verify", write_coupling_schedule(tmp_path),
+                         "--samples", samples)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "samples" in err
+
+
 def test_verify_unparseable_document(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from holostar import kernels
-from holostar.kernels import _fallback
 from holostar.qcore import embed_operator
 
 from conftest import haar_state, random_unitary
@@ -12,41 +11,15 @@ def _oracle(state, gate, targets, n):
     return embed_operator(gate, targets, n) @ state
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_apply_gate_matches_embedding(n, m, rng):
-    if m > n:
-        pytest.skip("gate larger than register")
+@pytest.mark.parametrize("m, n", [(m, n) for m in (1, 2, 3) for n in (1, 2, 3, 5, 7) if m <= n]
+                         + [(7, 7)])
+def test_apply_gate_matches_embedding(m, n, rng):
     for _ in range(5):
         state = haar_state(1 << n, rng)
         gate = random_unitary(1 << m, rng)
         targets = tuple(rng.permutation(n)[:m])
         got = kernels.apply_gate(state, gate, targets)
         assert np.allclose(got, _oracle(state, gate, targets, n), atol=1e-13)
-
-
-def test_backends_agree(rng):
-    for _ in range(10):
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(1, min(n, 3) + 1))
-        state = haar_state(1 << n, rng)
-        gate = random_unitary(1 << m, rng)
-        targets = tuple(rng.permutation(n)[:m])
-        via_dispatch = kernels.apply_gate(state, gate, targets)
-        via_numpy = np.array(state)
-        _fallback.apply_gate_inplace(via_numpy, gate, targets)
-        assert np.allclose(via_dispatch, via_numpy, atol=1e-14)
-
-
-def test_large_gate_falls_back(rng):
-    # 7 targets exceed the compiled kernel's scratch space; the dispatcher
-    # must still produce the right answer through the numpy path.
-    n = 7
-    state = haar_state(1 << n, rng)
-    gate = random_unitary(1 << 7, rng)
-    targets = tuple(range(7))
-    got = kernels.apply_gate(state, gate, targets)
-    assert np.allclose(got, gate @ state, atol=1e-12)
 
 
 def test_target_order_semantics():
@@ -88,4 +61,4 @@ def test_validation_errors(rng):
 
 
 def test_backend_name_reported():
-    assert kernels.BACKEND in ("compiled", "numpy")
+    assert kernels.BACKEND == "numpy"
