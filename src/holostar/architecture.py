@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 POST_SELECTION_FLOOR = 1e-12
+MAX_REGISTER = 20  # with the auxiliary, 2^21 amplitudes: 32 MiB per state vector
 
 
 class PostSelectionError(RuntimeError):
@@ -58,8 +59,8 @@ class StarArchitecture:
     auxiliary_state: int = 0
 
     def __post_init__(self):
-        if self.n_register < 1:
-            raise ValueError(f"need at least one register qubit, got {self.n_register}")
+        if not 1 <= self.n_register <= MAX_REGISTER:
+            raise ValueError(f"register must have 1 to {MAX_REGISTER} qubits, got {self.n_register}")
         if self.auxiliary_state not in (0, 1):
             raise ValueError(f"auxiliary basis state must be 0 or 1, got {self.auxiliary_state}")
 

@@ -216,6 +216,13 @@ def _verify_field_chunk(chunk, index: int, tol: Tolerances, samples: int) -> lis
 
 def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances,
                              samples: int) -> list[dict]:
+    """Certify one coupling pulse: block structure, transport, holonomy.
+
+    The propagator is the closed form I + (cos(A/2) - 1)(2H)^2 - i sin(A/2)(2H).
+    U(t) commutes with H(t) = a(t) H_unit, so U P U^dag H(t) U P U^dag =
+    a(t) U (P H_unit P) U^dag and the transport residual at each sampled time
+    is a(t) max_P ||P H_unit P||_2 (tq.transport_residuals).
+    """
     where = {"segments": [index]}
     u = segment_unitary(seg).matrix
     ordered = permute_basis(u, tq.AUX_BLOCK_ORDER)
@@ -227,17 +234,7 @@ def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances,
         return checks
 
     h_unit = coupling_hamiltonian(math.cos(seg.mix_theta / 2), math.sin(seg.mix_theta / 2))
-    evals, evecs = np.linalg.eigh(h_unit)
-    projs = tq._projectors()
-    env = seg.envelope
-    worst = 0.0
-    for j in range(samples):
-        t = env.duration * (j / (samples - 1))
-        u_t = (evecs * np.exp(-1j * env.partial_area(t) * evals)) @ evecs.conj().T
-        h_t = env.amplitude(t) * h_unit
-        for p in projs.values():
-            p_t = u_t @ p @ u_t.conj().T
-            worst = max(worst, float(np.linalg.norm(p_t @ h_t @ p_t, ord=2)))
+    worst = max(tq.transport_residuals(h_unit, seg.envelope, samples))
     checks.append(_check("transport_residual", worst, tol.transport_residual, **where))
 
     dec = tq.BlockDecomposition(
@@ -287,11 +284,14 @@ def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
     if args.samples < 2:
         raise _UsageError(f"--samples must be at least 2, got {args.samples}")
     if args.random_circuits:
+        try:
+            arch = arch_mod.StarArchitecture(args.n_register)
+        except ValueError as e:
+            raise _UsageError(f"--n-register: {e}") from None
         rng = np.random.default_rng(config.seed)
         checks = []
         for i in range(args.random_circuits):
             circuit = arch_mod.random_circuit(args.n_register, args.gates, rng)
-            arch = arch_mod.StarArchitecture(args.n_register)
             for c in _verify_circuit(circuit, arch, tol, args.shape):
                 checks.append({**c, "circuit": i})
         kind = "random-circuits"
@@ -395,19 +395,13 @@ def main(argv=None) -> int:
         )
         _resolve_tolerances(config)  # surface bad overrides/env before running
         doc, code = _HANDLERS[args.command](args, config)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError, KeyError) as e:
+        _write_output(doc if isinstance(doc, str) else ser.dumps(doc), args.out)
+    except (_UsageError, ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except arch_mod.PostSelectionError as e:
         print(f"error: {e}", file=sys.stderr)
         return VERIFY_ERROR
-    if isinstance(doc, str):
-        _write_output(doc, args.out)
-    else:
-        _write_output(ser.dumps(doc), args.out)
     return code
 
 

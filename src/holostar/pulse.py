@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .qcore import Operator, StateVector, _expm_ih
+from .qcore import _PAULI, Operator, StateVector
 
 __all__ = [
     "Envelope",
@@ -149,10 +149,11 @@ class PulseSchedule:
         return PulseSchedule(tuple(inv), self.n_register)
 
 
-def _spin(axis: str) -> np.ndarray:
-    if axis == "x":
-        return np.array([[0, 0.5], [0.5, 0]], dtype=np.complex128)
-    return np.array([[0, -0.5j], [0.5j, 0]], dtype=np.complex128)
+_SX, _SY = 0.5 * _PAULI["x"], 0.5 * _PAULI["y"]
+_EYE2 = np.eye(2, dtype=np.complex128)
+# Sx Sx + Sy Sy exchange of register spin k, and of l, with the auxiliary.
+_EXCHANGE_K = np.kron(np.kron(_SX, _SX), _EYE2) + np.kron(np.kron(_SY, _SY), _EYE2)
+_EXCHANGE_L = np.kron(_EYE2, np.kron(_SX, _SX)) + np.kron(_EYE2, np.kron(_SY, _SY))
 
 
 def coupling_hamiltonian(j_k: float, j_l: float) -> np.ndarray:
@@ -161,48 +162,46 @@ def coupling_hamiltonian(j_k: float, j_l: float) -> np.ndarray:
     Basis order (k, a, l) with k the most significant qubit:
     J_k (Sx_k Sx_a + Sy_k Sy_a) + J_l (Sx_l Sx_a + Sy_l Sy_a).
     """
-    sx, sy = _spin("x"), _spin("y")
-    eye = np.eye(2, dtype=np.complex128)
-    h = j_k * (np.kron(np.kron(sx, sx), eye) + np.kron(np.kron(sy, sy), eye))
-    h += j_l * (np.kron(eye, np.kron(sx, sx)) + np.kron(eye, np.kron(sy, sy)))
-    return h
+    return j_k * _EXCHANGE_K + j_l * _EXCHANGE_L
 
 
-def _field_unit_hamiltonian(beta: float) -> np.ndarray:
-    """Unit-amplitude drive direction cos(beta) Sx + sin(beta) Sy on one qubit."""
-    return math.cos(beta) * _spin("x") + math.sin(beta) * _spin("y")
+def _unit_hamiltonian(seg: Segment) -> np.ndarray:
+    """Segment direction at unit amplitude: cos(beta) Sx + sin(beta) Sy on the
+    driven qubit, or the exchange with strengths (cos(mix/2), sin(mix/2))."""
+    if isinstance(seg, FieldSegment):
+        return math.cos(seg.beta) * _SX + math.sin(seg.beta) * _SY
+    if isinstance(seg, CouplingSegment):
+        half = seg.mix_theta / 2.0
+        return coupling_hamiltonian(math.cos(half), math.sin(half))
+    raise TypeError(f"unknown segment type {type(seg).__name__}")
 
 
-def _coupling_unit_hamiltonian(mix_theta: float) -> np.ndarray:
-    return coupling_hamiltonian(math.cos(mix_theta / 2.0), math.sin(mix_theta / 2.0))
+def _propagator(h_unit: np.ndarray, area: float) -> np.ndarray:
+    """exp(-i area H_unit) for a direction whose doubled spectrum lies in
+    {-1, 0, 1} (a spin-1/2 drive, or the exchange at unit strength), so that
+    (2H)^3 = 2H and the exponential series sums to the closed form below."""
+    g = 2.0 * h_unit
+    return (np.eye(g.shape[0]) + (math.cos(area / 2.0) - 1.0) * (g @ g)
+            - 1j * math.sin(area / 2.0) * g)
 
 
 def segment_hamiltonian(seg: Segment, amplitude: float) -> Operator:
     """Instantaneous Hamiltonian of a segment at the given envelope amplitude."""
     if amplitude < 0:
         raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
-    if isinstance(seg, FieldSegment):
-        h = _field_unit_hamiltonian(seg.beta)
-    elif isinstance(seg, CouplingSegment):
-        h = _coupling_unit_hamiltonian(seg.mix_theta)
-    else:
-        raise TypeError(f"unknown segment type {type(seg).__name__}")
-    return Operator(amplitude * h, hermitian=True)
+    return Operator(amplitude * _unit_hamiltonian(seg), hermitian=True)
 
 
 def segment_unitary(seg: Segment) -> Operator:
     """Propagator of a segment over its whole duration.
 
     The direction is constant within a segment, so the time-ordered integral
-    collapses to exp(-i * area * H_unit) regardless of envelope shape.
+    collapses to exp(-i A H_unit) regardless of envelope shape.  In closed form
+    that is su2(A, beta) = cos(A/2) I - i sin(A/2)(cos(beta) sx + sin(beta) sy)
+    for a field segment, and I + (cos(A/2) - 1)(2H)^2 - i sin(A/2)(2H) for a
+    coupling segment.
     """
-    if isinstance(seg, FieldSegment):
-        h = _field_unit_hamiltonian(seg.beta)
-    elif isinstance(seg, CouplingSegment):
-        h = _coupling_unit_hamiltonian(seg.mix_theta)
-    else:
-        raise TypeError(f"unknown segment type {type(seg).__name__}")
-    return Operator(_expm_ih(h, seg.envelope.area), unitary=True)
+    return Operator(_propagator(_unit_hamiltonian(seg), seg.envelope.area), unitary=True)
 
 
 def _segment_targets(seg: Segment, schedule: PulseSchedule, psi: StateVector) -> tuple[int, ...]:
@@ -258,15 +257,12 @@ def expectation_trace(schedule: PulseSchedule, psi: StateVector,
     t0 = 0.0
     for seg in schedule.segments:
         targets = _segment_targets(seg, schedule, psi)
-        h_unit = (_field_unit_hamiltonian(seg.beta) if isinstance(seg, FieldSegment)
-                  else _coupling_unit_hamiltonian(seg.mix_theta))
+        h_unit = _unit_hamiltonian(seg)
         energy = float(np.vdot(amps, kernels.apply_gate(amps, h_unit, targets)).real)
         env = seg.envelope
         for j in range(samples):
             t = env.duration * (j / (samples - 1))
             out.append((t0 + t, env.amplitude(t) * energy))
-        evals, evecs = np.linalg.eigh(h_unit)
-        kernels.apply_gate_inplace(amps, (evecs * np.exp(-1j * env.area * evals)) @ evecs.conj().T,
-                                   targets)
+        kernels.apply_gate_inplace(amps, _propagator(h_unit, env.area), targets)
         t0 += env.duration
     return out

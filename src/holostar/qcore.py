@@ -188,13 +188,8 @@ def matrix_exponential_hermitian(h: Operator, t: float) -> Operator:
     """
     if not h.hermitian:
         raise ValueError("matrix_exponential_hermitian requires a Hermitian-flagged operator")
-    return Operator(_expm_ih(h.matrix, t), unitary=True)
-
-
-def _expm_ih(matrix: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t M) for a Hermitian ndarray (no flag checks)."""
-    evals, evecs = np.linalg.eigh(matrix)
-    return (evecs * np.exp(-1j * t * evals)) @ evecs.conj().T
+    evals, evecs = np.linalg.eigh(h.matrix)
+    return Operator((evecs * np.exp(-1j * t * evals)) @ evecs.conj().T, unitary=True)
 
 
 def tensor(a, b):

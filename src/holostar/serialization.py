@@ -74,8 +74,13 @@ def dumps(obj) -> str:
     return _emit(obj, 0) + "\n"
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def loads(text: str):
-    return json.loads(text)
+    """Parse document text; NaN and Infinity are errors, not numbers."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def load_document(path: str):
@@ -96,6 +101,16 @@ def _require_keys(d: dict, required: set[str], what: str):
         if extra:
             parts.append(f"unknown {sorted(extra)}")
         raise ValueError(f"{what}: {', '.join(parts)}")
+
+
+def _get(d, key, where: str, kind: type = float):
+    """``d[key]`` as a JSON integer (``kind=int``) or finite number: bools,
+    strings, fractions for integers and non-finite values are errors."""
+    v = d[key]
+    if isinstance(v, bool) or not isinstance(v, (int, kind)) or not abs(v) <= sys.float_info.max:
+        want = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{where} {key} must be {want}, got {v!r}")
+    return kind(v)
 
 
 def matrix_to_lists(m) -> list:
@@ -123,32 +138,38 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
     return {"n_register": int(schedule.n_register), "segments": segments}
 
 
+def _envelope(sd: dict, where: str) -> Envelope:
+    return Envelope(_get(sd, "area", where), sd["shape"], _get(sd, "duration", where))
+
+
 def schedule_from_dict(d: dict) -> PulseSchedule:
     if not isinstance(d, dict):
         raise ValueError("schedule document must be an object")
     _require_keys(d, {"n_register", "segments"}, "schedule document")
+    if not isinstance(d["segments"], list):
+        raise ValueError("schedule document: segments must be a list")
     segments = []
     for i, sd in enumerate(d["segments"]):
         if not isinstance(sd, dict):
             raise ValueError(f"segment {i} must be an object")
         kind = sd.get("kind")
         if kind == "field":
-            _require_keys(sd, {"kind", "qubit", "beta", "shape", "duration", "area"},
-                          f"field segment {i}")
-            env = Envelope(float(sd["area"]), sd["shape"], float(sd["duration"]))
-            segments.append(FieldSegment(int(sd["qubit"]), float(sd["beta"]), env))
+            where = f"field segment {i}"
+            _require_keys(sd, {"kind", "qubit", "beta", "shape", "duration", "area"}, where)
+            segments.append(FieldSegment(_get(sd, "qubit", where, int), _get(sd, "beta", where),
+                                         _envelope(sd, where)))
         elif kind == "coupling":
-            _require_keys(sd, {"kind", "pair", "mix_theta", "shape", "duration", "area"},
-                          f"coupling segment {i}")
+            where = f"coupling segment {i}"
+            _require_keys(sd, {"kind", "pair", "mix_theta", "shape", "duration", "area"}, where)
             pair = sd["pair"]
             if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError(f"coupling segment {i}: pair must be a 2-element list")
-            env = Envelope(float(sd["area"]), sd["shape"], float(sd["duration"]))
-            segments.append(CouplingSegment((int(pair[0]), int(pair[1])),
-                                            float(sd["mix_theta"]), env))
+                raise ValueError(f"{where}: pair must be a 2-element list")
+            segments.append(CouplingSegment((_get(pair, 0, f"{where} pair", int),
+                                             _get(pair, 1, f"{where} pair", int)),
+                                            _get(sd, "mix_theta", where), _envelope(sd, where)))
         else:
             raise ValueError(f"segment {i}: unknown kind {kind!r}")
-    return PulseSchedule(tuple(segments), int(d["n_register"]))
+    return PulseSchedule(tuple(segments), _get(d, "n_register", "schedule document", int))
 
 
 def circuit_to_dict(circuit: Circuit, arch: StarArchitecture) -> dict:
@@ -168,20 +189,25 @@ def circuit_from_dict(d: dict) -> tuple[Circuit, StarArchitecture]:
     if not isinstance(d, dict):
         raise ValueError("circuit document must be an object")
     _require_keys(d, {"n_register", "auxiliary_state", "gates"}, "circuit document")
-    arch = StarArchitecture(int(d["n_register"]), int(d["auxiliary_state"]))
+    where = "circuit document"
+    arch = StarArchitecture(_get(d, "n_register", where, int),
+                            _get(d, "auxiliary_state", where, int))
+    if not isinstance(d["gates"], list):
+        raise ValueError(f"{where}: gates must be a list")
     gates: list = []
     for i, gd in enumerate(d["gates"]):
         if not isinstance(gd, dict):
             raise ValueError(f"gate {i} must be an object")
         if "qubit" in gd:
-            _require_keys(gd, {"qubit", "theta", "phi", "dphi"}, f"rotation gate {i}")
-            gates.append(RotationGate(
-                int(gd["qubit"]),
-                RotationTarget(float(gd["theta"]), float(gd["phi"]), float(gd["dphi"])),
-            ))
+            where = f"rotation gate {i}"
+            _require_keys(gd, {"qubit", "theta", "phi", "dphi"}, where)
+            angles = (_get(gd, key, where) for key in ("theta", "phi", "dphi"))
+            gates.append(RotationGate(_get(gd, "qubit", where, int), RotationTarget(*angles)))
         elif "k" in gd:
-            _require_keys(gd, {"k", "l", "theta"}, f"entangling gate {i}")
-            gates.append(EntanglingGate((int(gd["k"]), int(gd["l"])), float(gd["theta"])))
+            where = f"entangling gate {i}"
+            _require_keys(gd, {"k", "l", "theta"}, where)
+            gates.append(EntanglingGate((_get(gd, "k", where, int), _get(gd, "l", where, int)),
+                                        _get(gd, "theta", where)))
         else:
             raise ValueError(f"gate {i}: expected either a 'qubit' or a 'k'/'l' entry")
     return Circuit(tuple(gates)), arch

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulse import Envelope, FieldSegment, PulseSchedule, evolve, expectation_trace, segment_unitary
-from .qcore import Operator, StateVector, pauli, phase_invariant_distance, wrap_phase
+from .qcore import _PAULI, Operator, StateVector, phase_invariant_distance, wrap_phase
 
 __all__ = [
     "RotationTarget",
@@ -107,7 +107,7 @@ def synthesize(target: RotationTarget, qubit: int = 0, n_register: int | None = 
 def target_unitary(target: RotationTarget) -> Operator:
     """The rotation matrix cos(dphi) I + i sin(dphi) (m . sigma)."""
     mx, my, mz = target.axis
-    m_sigma = mx * pauli("x").matrix + my * pauli("y").matrix + mz * pauli("z").matrix
+    m_sigma = mx * _PAULI["x"] + my * _PAULI["y"] + mz * _PAULI["z"]
     u = math.cos(target.dphi) * np.eye(2) + 1j * math.sin(target.dphi) * m_sigma
     return Operator(u, unitary=True)
 

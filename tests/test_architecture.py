@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holostar.architecture import (
+    MAX_REGISTER,
     Circuit,
     EntanglingGate,
     PostSelectionError,
@@ -44,6 +45,9 @@ def test_architecture_validation():
         StarArchitecture(0)
     with pytest.raises(ValueError):
         StarArchitecture(2, auxiliary_state=2)
+    assert StarArchitecture(MAX_REGISTER).n_total == MAX_REGISTER + 1
+    with pytest.raises(ValueError, match="1 to 20 qubits"):
+        StarArchitecture(MAX_REGISTER + 1)
 
 
 def test_gate_validation():

@@ -1,9 +1,14 @@
 """End-to-end command tests, run in process through ``main``."""
 
+import contextlib
+import io
 import json
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from holostar.cli import main
 
@@ -281,3 +286,138 @@ def test_stdin_document(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     doc = run_json(capsys, "verify", "-")
     assert doc["passed"] is True
+
+
+def run_document(capsys, tmp_path, text, *argv):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    return run(capsys, *argv, str(path))
+
+
+def assert_one_line_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+ROTATION_NAN_PHI = ('{"n_register": 1, "auxiliary_state": 0, "gates": '
+                    '[{"qubit": 0, "theta": 1.0, "phi": NaN, "dphi": 0.5}]}')
+COUPLING_INFINITE_AREA = ('{"n_register": 2, "segments": [{"kind": "coupling", "pair": [0, 1], '
+                          '"mix_theta": 1.0, "shape": "constant", "duration": 1.0, '
+                          '"area": Infinity}]}')
+
+
+@pytest.mark.parametrize("text, argv", [
+    (ROTATION_NAN_PHI, ("simulate", "--circuit")),
+    (ROTATION_NAN_PHI, ("verify",)),
+    (COUPLING_INFINITE_AREA, ("verify",)),
+    (COUPLING_INFINITE_AREA.replace("Infinity", "1e999"), ("verify",)),
+], ids=["nan-simulate", "nan-verify", "infinity", "overflow"])
+def test_non_finite_numbers_are_rejected(capsys, tmp_path, text, argv):
+    code, out, err = run_document(capsys, tmp_path, text, *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth1q", "--theta", "1.0", "--dphi", "0.5", "--phi", "nan"),
+    ("synth2q", "--theta", "1.0", "--out", "no/such/dir/gate.json"),
+], ids=["nan-output", "unwritable-out"])
+def test_output_failures_are_usage_errors(capsys, argv):
+    # the output is written inside main's error handling: a non-finite value
+    # or an unwritable path is one line on stderr, not a traceback
+    assert_one_line_usage_error(*run(capsys, *argv))
+
+
+def circuit_text(n_register=2, auxiliary_state=0, gates=()):
+    return json.dumps({"n_register": n_register, "auxiliary_state": auxiliary_state,
+                       "gates": list(gates)})
+
+
+def coupling_text(pair=(0, 1), n_register=2):
+    return json.dumps({"n_register": n_register, "segments": [
+        {"kind": "coupling", "pair": list(pair), "mix_theta": 1.0, "shape": "constant",
+         "duration": 1.0, "area": 2 * PI}]})
+
+
+@pytest.mark.parametrize("text, argv, field", [
+    (circuit_text(gates=[{"qubit": 1.9, "theta": 1.0, "phi": 0.0, "dphi": 0.5}]),
+     ("simulate", "--circuit"), "qubit"),
+    (circuit_text(gates=[{"k": True, "l": 0.2, "theta": 1.0}]), ("simulate", "--circuit"), "k"),
+    (circuit_text(gates=[{"k": 0, "l": 0.2, "theta": 1.0}]), ("simulate", "--circuit"), "l"),
+    (circuit_text(n_register=2.5), ("simulate", "--circuit"), "n_register"),
+    (circuit_text(auxiliary_state=True), ("verify",), "auxiliary_state"),
+    (coupling_text(pair=(0, 1.5)), ("verify",), "pair"),
+    (coupling_text(n_register=True), ("verify",), "n_register"),
+    (json.dumps({"n_register": 1, "segments": [
+        {"kind": "field", "qubit": 0.5, "beta": 0.0, "shape": "constant",
+         "duration": 1.0, "area": 1.0}] * 3}), ("verify",), "qubit"),
+], ids=["qubit-fraction", "k-bool", "l-fraction", "n_register-fraction", "aux-bool",
+        "pair-fraction", "schedule-n_register-bool", "field-qubit-fraction"])
+def test_document_indices_must_be_integers(capsys, tmp_path, text, argv, field):
+    code, out, err = run_document(capsys, tmp_path, text, *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert field in err and "integer" in err
+
+
+@pytest.mark.parametrize("n_register", ["0", "21"])
+def test_random_circuit_register_size_is_a_usage_error(capsys, n_register):
+    code, out, err = run(capsys, "verify", "--random-circuits", "1",
+                         "--n-register", n_register)
+    assert_one_line_usage_error(code, out, err)
+    assert "--n-register" in err and "20" in err
+
+
+def test_circuit_register_size_is_limited(capsys, tmp_path):
+    # 40 register qubits would need a 16 TiB state vector
+    code, out, err = run_document(capsys, tmp_path, circuit_text(n_register=40),
+                                  "simulate", "--circuit")
+    assert_one_line_usage_error(code, out, err)
+    assert "40" in err
+
+
+def test_benchmarked_register_size_is_admitted(capsys, tmp_path):
+    doc = json.loads(run_document(capsys, tmp_path, circuit_text(n_register=14),
+                                  "simulate", "--circuit")[1])
+    assert doc["n_register"] == 14 and doc["ideal_fidelity"] == pytest.approx(1.0)
+
+
+# Arbitrary JSON, and documents shaped like schedules and circuits whose every
+# value may also be arbitrary JSON, so the fuzzing reaches the field checks.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+indices = st.integers(-1, 3) | json_values
+numbers = st.floats(-7.0, 13.0) | st.sampled_from([0, PI, 2 * PI]) | json_values
+shapes = st.sampled_from(["constant", "sin_squared"]) | json_values
+segments = st.fixed_dictionaries({
+    "kind": st.just("field") | json_values, "qubit": indices, "beta": numbers,
+    "shape": shapes, "duration": numbers, "area": numbers,
+}) | st.fixed_dictionaries({
+    "kind": st.just("coupling") | json_values, "pair": st.lists(indices, max_size=3) | json_values,
+    "mix_theta": numbers, "shape": shapes, "duration": numbers, "area": numbers,
+})
+gates = st.fixed_dictionaries({"qubit": indices, "theta": numbers, "phi": numbers,
+                               "dphi": numbers}) \
+    | st.fixed_dictionaries({"k": indices, "l": indices, "theta": numbers})
+schedules = st.fixed_dictionaries({"n_register": indices,
+                                   "segments": st.lists(segments, max_size=4) | json_values})
+circuits = st.fixed_dictionaries({"n_register": indices, "auxiliary_state": indices,
+                                  "gates": st.lists(gates, max_size=4) | json_values})
+documents = json_values | schedules | circuits | st.builds(lambda s: {"schedule": s}, schedules)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents, st.sampled_from([("verify", "-"), ("simulate", "--circuit", "-")]))
+def test_arbitrary_documents_never_crash(doc, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1

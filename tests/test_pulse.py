@@ -16,7 +16,13 @@ from holostar.pulse import (
     segment_hamiltonian,
     segment_unitary,
 )
-from holostar.qcore import StateVector, embed_operator, ket
+from holostar.qcore import (
+    Operator,
+    StateVector,
+    embed_operator,
+    ket,
+    matrix_exponential_hermitian,
+)
 
 from conftest import SX, SY, haar_state, su2
 
@@ -106,6 +112,16 @@ def test_coupling_hamiltonian_spin_operator_form():
 def test_segment_unitary_closed_form(area, beta):
     seg = FieldSegment(0, beta, Envelope(area))
     assert np.max(np.abs(segment_unitary(seg).matrix - su2(area, beta))) < 1e-12
+
+
+@given(st.floats(0.0, math.pi), areas)
+def test_coupling_propagator_matches_eigh_exponential(mix, area):
+    # the closed form I + (cos(A/2) - 1)(2H)^2 - i sin(A/2)(2H) against the
+    # spectral exponential of the same exchange Hamiltonian
+    seg = CouplingSegment((0, 1), mix, Envelope(area))
+    h = Operator(coupling_hamiltonian(math.cos(mix / 2), math.sin(mix / 2)), hermitian=True)
+    want = matrix_exponential_hermitian(h, area).matrix
+    assert np.max(np.abs(segment_unitary(seg).matrix - want)) <= 1e-12
 
 
 def test_segment_unitary_examples():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holostar.pulse import Envelope
 from holostar.qcore import Operator
 from holostar.two_qubit_holonomy import (
     AUX_BLOCK_ORDER,
@@ -16,6 +17,7 @@ from holostar.two_qubit_holonomy import (
     entangling_power_law,
     holonomy_decompose,
     ideal_block,
+    transport_residuals,
     two_qubit_gate,
     verify_parallel_transport,
 )
@@ -169,6 +171,52 @@ class TestParallelTransport:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             verify_parallel_transport(CouplingGateSpec(1.0), samples=1)
+
+
+# The six invariant-subspace projectors, written out independently of the module.
+ORACLE_PROJECTORS = {name: np.diag([1.0 if i in idx else 0.0 for i in range(8)])
+                     for name, idx in {"P_0": (0, 1, 4, 5), "P_1": (2, 3, 6, 7),
+                                       "P_0^1": (5,), "P_0^2": (1, 4),
+                                       "P_1^1": (2,), "P_1^2": (3, 6)}.items()}
+
+
+def _sampled_transport_oracle(h_unit, env, samples):
+    """The brute-force certificate: at each sampled time build the partial-area
+    propagator by eigendecomposition, evolve every projector, and take the
+    spectral norm of U P U^dag H(t) U P U^dag.  Returns per-sample worst
+    residuals and, per sample, the projector that attained it."""
+    evals, evecs = np.linalg.eigh(h_unit)
+    worst, argmax = [], []
+    for t in np.linspace(0.0, env.duration, samples):
+        u_t = (evecs * np.exp(-1j * env.partial_area(t) * evals)) @ evecs.conj().T
+        h_t = env.amplitude(t) * h_unit
+        norms = {}
+        for name, p in ORACLE_PROJECTORS.items():
+            p_t = u_t @ p @ u_t.conj().T
+            norms[name] = float(np.linalg.norm(p_t @ h_t @ p_t, ord=2))
+        argmax.append(max(norms, key=norms.get))
+        worst.append(norms[argmax[-1]])
+    return worst, argmax
+
+
+@pytest.mark.parametrize("shape", ["constant", "sin_squared"])
+def test_transport_residuals_match_sampled_propagation(shape):
+    # A random Hermitian direction has a nonzero residual, so a helper that
+    # dropped a(t) or the dominant projector would disagree with the oracle.
+    rng = np.random.default_rng(4417)
+    dominant = set()
+    for _ in range(12):
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h_unit = (z + z.conj().T) / 2
+        env = Envelope(float(rng.uniform(0.1, 4 * math.pi)), shape, float(rng.uniform(0.1, 3.0)))
+        got = np.array(transport_residuals(h_unit, env, 64))
+        want, argmax = _sampled_transport_oracle(h_unit, env, 64)
+        assert got.shape == (64,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(want)
+        dominant.update(argmax)
+    # both block projectors dominate somewhere; the four refinements never can,
+    # since P' <= P gives ||P' H P'|| <= ||P H P||
+    assert dominant == {"P_0", "P_1"}
 
 
 class TestHolonomyDecompose:
