@@ -38,6 +38,13 @@ __all__ = ["RunConfig", "main"]
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
+# Upper bounds on the size arguments, so no option asks for an unbounded allocation.
+MAX_GRID = 10_000  # ep-sweep angles
+MAX_SAMPLES = 10_000  # time samples per segment
+MAX_GATES = 10_000  # gates per random circuit
+MAX_RANDOM_CIRCUITS = 10_000
+MAX_SHOTS = 10**15  # numpy's binomial sampler takes a C long
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,6 +71,12 @@ def _parse_tol_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
+def _bounded(option: str, value: int, low: int, high: int) -> int:
+    if not low <= value <= high:
+        raise _UsageError(f"{option} must be between {low} and {high}, got {value}")
+    return value
+
+
 def _resolve_tolerances(config: RunConfig) -> Tolerances:
     tol = tolerances_from_env()
     if config.tolerance_overrides:
@@ -85,7 +98,7 @@ def cmd_synth1q(args, config: RunConfig) -> tuple[dict, int]:
     doc = {
         "command": "synth1q",
         "schedule": ser.schedule_to_dict(schedule),
-        "target_matrix": ser.matrix_to_lists(sq.target_unitary(target).matrix),
+        "target_matrix": sq.target_unitary(target).matrix,
         "synthesis_distance": sq.verify_synthesis(target),
     }
     return doc, 0
@@ -99,8 +112,8 @@ def cmd_synth2q(args, config: RunConfig) -> tuple[dict, int]:
     doc = {
         "command": "synth2q",
         "schedule": ser.schedule_to_dict(schedule),
-        "u0": ser.matrix_to_lists(dec.u0.matrix),
-        "u1": ser.matrix_to_lists(dec.u1.matrix),
+        "u0": dec.u0.matrix,
+        "u1": dec.u1.matrix,
         "off_block_residual": dec.off_block_residual,
         "entangling_power": ep,
         "entangling_power_formula": tq.entangling_power_law(args.theta),
@@ -109,6 +122,7 @@ def cmd_synth2q(args, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_simulate(args, config: RunConfig) -> tuple[dict, int]:
+    _bounded("--shots", args.shots, 0, MAX_SHOTS)
     circuit, arch = ser.circuit_from_dict(ser.load_document(args.circuit))
     if args.input is None:
         input_state = None
@@ -125,7 +139,7 @@ def cmd_simulate(args, config: RunConfig) -> tuple[dict, int]:
         "auxiliary_state": arch.auxiliary_state,
         "aux_match_probability": result.aux_match_probability,
         "ideal_fidelity": result.ideal_fidelity,
-        "register_state": ser.vector_to_lists(result.register_state.amplitudes),
+        "register_state": result.register_state.amplitudes,
     }
     if args.shots:
         doc["shots"] = {
@@ -136,6 +150,7 @@ def cmd_simulate(args, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_phase_report(args, config: RunConfig) -> tuple[dict, int]:
+    _bounded("--samples", args.samples, 2, MAX_SAMPLES)
     target = RotationTarget(args.theta, args.phi, args.dphi)
     report = sq.geometric_phase(target, samples=args.samples, shape=args.shape)
     ortho = sq.geometric_phase(target, state=target.orthogonal_state(),
@@ -157,8 +172,7 @@ def cmd_phase_report(args, config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_ep_sweep(args, config: RunConfig) -> tuple[object, int]:
-    if args.grid < 2:
-        raise _UsageError(f"--grid must be at least 2, got {args.grid}")
+    _bounded("--grid", args.grid, 2, MAX_GRID)
     rows = []
     for theta in np.linspace(0.0, math.pi, args.grid):
         dec = tq.two_qubit_gate(tq.CouplingGateSpec(float(theta)))
@@ -281,8 +295,9 @@ def _verify_circuit(circuit, arch, tol: Tolerances, shape: str) -> list[dict]:
 
 def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
     tol = _resolve_tolerances(config)
-    if args.samples < 2:
-        raise _UsageError(f"--samples must be at least 2, got {args.samples}")
+    _bounded("--samples", args.samples, 2, MAX_SAMPLES)
+    _bounded("--gates", args.gates, 0, MAX_GATES)
+    _bounded("--random-circuits", args.random_circuits, 0, MAX_RANDOM_CIRCUITS)
     if args.random_circuits:
         try:
             arch = arch_mod.StarArchitecture(args.n_register)
@@ -302,6 +317,8 @@ def cmd_verify(args, config: RunConfig) -> tuple[dict, int]:
         kind = ser.document_kind(doc)
         if kind == "schedule":
             schedule = ser.schedule_from_dict(doc)
+            if not schedule.segments:
+                raise _UsageError("schedule document has no segments to verify")
             checks = _verify_schedule(schedule, tol, args.samples)
         else:
             circuit, arch = ser.circuit_from_dict(doc)

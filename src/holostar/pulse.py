@@ -44,10 +44,13 @@ class Envelope:
     def __post_init__(self):
         if self.shape not in ENVELOPE_SHAPES:
             raise ValueError(f"unknown envelope shape {self.shape!r}")
-        if self.area < 0:
-            raise ValueError(f"envelope area must be nonnegative, got {self.area}")
-        if self.duration <= 0:
-            raise ValueError(f"envelope duration must be positive, got {self.duration}")
+        if not (math.isfinite(self.area) and self.area >= 0):
+            raise ValueError(f"envelope area must be finite and nonnegative, got {self.area}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"envelope duration must be finite and positive, got {self.duration}")
+        if not math.isfinite(2.0 * self.area / self.duration):
+            raise ValueError(f"envelope duration {self.duration} is too short for area "
+                             f"{self.area}: the peak amplitude overflows")
 
     def amplitude(self, t: float) -> float:
         """Instantaneous amplitude at time t in [0, duration]."""
@@ -78,6 +81,8 @@ class FieldSegment:
     def __post_init__(self):
         if self.qubit < 0:
             raise ValueError(f"qubit index must be nonnegative, got {self.qubit}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"drive phase beta must be finite, got {self.beta}")
         object.__setattr__(self, "beta", self.beta % math.tau)
 
 

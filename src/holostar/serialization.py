@@ -28,15 +28,31 @@ __all__ = [
     "schedule_from_dict",
     "circuit_to_dict",
     "circuit_from_dict",
-    "matrix_to_lists",
-    "vector_to_lists",
     "document_kind",
     "unwrap_document",
 ]
 
 
+def _complex_template(shape: tuple, indent: int) -> str:
+    """Layout of a complex array as nested ``[real, imag]`` lists, one ``%.17g``
+    per part; each level repeats one row template."""
+    pad = "  " * indent
+    if not shape:
+        return f"[\n{pad}  %.17g,\n{pad}  %.17g\n{pad}]"
+    if shape[0] == 0:
+        return "[]"
+    row = f"{pad}  {_complex_template(shape[1:], indent + 1)}"
+    return "[\n" + ",\n".join([row] * shape[0]) + f"\n{pad}]"
+
+
 def _emit(obj, indent: int) -> str:
     pad = "  " * indent
+    if isinstance(obj, np.ndarray) and obj.dtype == np.complex128:
+        parts = np.ascontiguousarray(obj).reshape(-1).view(np.float64) + 0.0  # -0.0 -> 0
+        bad = parts[~np.isfinite(parts)]
+        if bad.size:
+            raise ValueError(f"cannot serialize non-finite number {float(bad[0])}")
+        return _complex_template(obj.shape, indent) % tuple(parts.tolist())
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -70,7 +86,10 @@ def _emit(obj, indent: int) -> str:
 
 
 def dumps(obj) -> str:
-    """Canonical document text (deterministic bytes for identical content)."""
+    """Canonical document text (deterministic bytes for identical content).
+
+    A complex128 array is written as nested ``[real, imag]`` pairs, the same
+    bytes as the equivalent lists of floats."""
     return _emit(obj, 0) + "\n"
 
 
@@ -113,17 +132,6 @@ def _get(d, key, where: str, kind: type = float):
     return kind(v)
 
 
-def matrix_to_lists(m) -> list:
-    """Complex matrix as nested [real, imag] pairs."""
-    a = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
-def vector_to_lists(v) -> list:
-    a = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in a]
-
-
 def schedule_to_dict(schedule: PulseSchedule) -> dict:
     segments = []
     for seg in schedule.segments:
@@ -138,8 +146,17 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
     return {"n_register": int(schedule.n_register), "segments": segments}
 
 
+def _build(where: str, cls, *args):
+    """``cls(*args)``; a rejected value is reported with the entry it came from."""
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def _envelope(sd: dict, where: str) -> Envelope:
-    return Envelope(_get(sd, "area", where), sd["shape"], _get(sd, "duration", where))
+    return _build(where, Envelope, _get(sd, "area", where), sd["shape"],
+                  _get(sd, "duration", where))
 
 
 def schedule_from_dict(d: dict) -> PulseSchedule:
@@ -156,17 +173,18 @@ def schedule_from_dict(d: dict) -> PulseSchedule:
         if kind == "field":
             where = f"field segment {i}"
             _require_keys(sd, {"kind", "qubit", "beta", "shape", "duration", "area"}, where)
-            segments.append(FieldSegment(_get(sd, "qubit", where, int), _get(sd, "beta", where),
-                                         _envelope(sd, where)))
+            segments.append(_build(where, FieldSegment, _get(sd, "qubit", where, int),
+                                   _get(sd, "beta", where), _envelope(sd, where)))
         elif kind == "coupling":
             where = f"coupling segment {i}"
             _require_keys(sd, {"kind", "pair", "mix_theta", "shape", "duration", "area"}, where)
             pair = sd["pair"]
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError(f"{where}: pair must be a 2-element list")
-            segments.append(CouplingSegment((_get(pair, 0, f"{where} pair", int),
-                                             _get(pair, 1, f"{where} pair", int)),
-                                            _get(sd, "mix_theta", where), _envelope(sd, where)))
+            segments.append(_build(where, CouplingSegment,
+                                   (_get(pair, 0, f"{where} pair", int),
+                                    _get(pair, 1, f"{where} pair", int)),
+                                   _get(sd, "mix_theta", where), _envelope(sd, where)))
         else:
             raise ValueError(f"segment {i}: unknown kind {kind!r}")
     return PulseSchedule(tuple(segments), _get(d, "n_register", "schedule document", int))
@@ -202,7 +220,8 @@ def circuit_from_dict(d: dict) -> tuple[Circuit, StarArchitecture]:
             where = f"rotation gate {i}"
             _require_keys(gd, {"qubit", "theta", "phi", "dphi"}, where)
             angles = (_get(gd, key, where) for key in ("theta", "phi", "dphi"))
-            gates.append(RotationGate(_get(gd, "qubit", where, int), RotationTarget(*angles)))
+            gates.append(RotationGate(_get(gd, "qubit", where, int),
+                                      _build(where, RotationTarget, *angles)))
         elif "k" in gd:
             where = f"entangling gate {i}"
             _require_keys(gd, {"k", "l", "theta"}, where)

@@ -46,6 +46,9 @@ class RotationTarget:
         t = float(self.theta)
         if not -1e-12 <= t <= math.pi + 1e-12:
             raise ValueError(f"polar angle must lie in [0, pi], got {t}")
+        for name in ("phi", "dphi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         object.__setattr__(self, "theta", min(max(t, 0.0), math.pi))
         object.__setattr__(self, "phi", float(self.phi) % math.tau)
         d = wrap_phase(float(self.dphi))

@@ -4,12 +4,14 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from holostar import cli
 from holostar.cli import main
 
 PI = math.pi
@@ -198,6 +200,68 @@ def test_verify_rejects_fewer_than_two_samples(capsys, tmp_path, samples):
                          "--samples", samples)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "samples" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--random-circuits", "-1"),
+    ("--random-circuits", "1", "--gates", "-1"),
+], ids=["negative-circuits", "negative-gates"])
+def test_verify_rejects_negative_counts(capsys, argv):
+    # a negative count used to certify zero checks as "passed": true
+    code, out, err = run(capsys, "verify", *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert argv[-2] in err
+
+
+def test_verify_rejects_schedule_without_segments(capsys, tmp_path):
+    code, out, err = run_document(capsys, tmp_path, '{"n_register": 1, "segments": []}',
+                                  "verify")
+    assert_one_line_usage_error(code, out, err)
+    assert "no segments" in err
+
+
+@pytest.mark.parametrize("argv, option, limit", [
+    (("ep-sweep", "--grid"), "--grid", cli.MAX_GRID),
+    (("verify", "--random-circuits", "1", "--samples"), "--samples", cli.MAX_SAMPLES),
+    (("phase-report", "--theta", "1", "--dphi", "1", "--samples"), "--samples",
+     cli.MAX_SAMPLES),
+    (("verify", "--random-circuits", "1", "--gates"), "--gates", cli.MAX_GATES),
+    (("verify", "--random-circuits"), "--random-circuits", cli.MAX_RANDOM_CIRCUITS),
+    # beyond a C long, numpy's binomial sampler raised OverflowError with a traceback
+    (("simulate", "--circuit", "-", "--shots"), "--shots", cli.MAX_SHOTS),
+], ids=["grid", "verify-samples", "phase-report-samples", "gates", "random-circuits", "shots"])
+def test_size_arguments_are_bounded(capsys, argv, option, limit):
+    # only ever the maximum plus one: it must be refused before anything is allocated
+    code, out, err = run(capsys, *argv, str(limit + 1))
+    assert_one_line_usage_error(code, out, err)
+    assert option in err and str(limit) in err
+
+
+def test_unbuildable_segment_is_named(capsys, tmp_path):
+    # the peak amplitude 2 * area / duration overflows for a subnormal duration
+    text = json.dumps({"n_register": 2, "segments": [
+        {"kind": "coupling", "pair": [0, 1], "mix_theta": 1.0, "shape": "constant",
+         "duration": 1e-310, "area": 2 * PI}]})
+    code, out, err = run_document(capsys, tmp_path, text, "verify")
+    assert_one_line_usage_error(code, out, err)
+    assert "coupling segment 0: " in err and "duration" in err
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("simulate", "--circuit", str(GOLDEN / "circuit_n3.json"), "--input", "101"),
+     "simulate_n3.json"),
+    (("synth1q", "--theta", "1.0", "--phi", "0.5", "--dphi", "0.7"), "synth1q.json"),
+    (("synth2q", "--theta", "1.2", "--pair", "0", "2"), "synth2q.json"),
+], ids=["simulate", "synth1q", "synth2q"])
+def test_output_matches_golden_bytes(capsys, argv, name):
+    # the golden files pin the emitted bytes of complex amplitudes and matrices;
+    # regenerate them only for a deliberate change of the numerics
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def test_verify_unparseable_document(capsys, tmp_path):

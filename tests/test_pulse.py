@@ -66,6 +66,16 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             Envelope(1.0).amplitude(1.5)
 
+    @pytest.mark.parametrize("area, duration, field", [
+        (math.nan, 1.0, "area"), (math.inf, 1.0, "area"),
+        (1.0, math.nan, "duration"), (1.0, math.inf, "duration"),
+        (2 * math.pi, 1e-310, "duration"),  # the peak 2 * area / duration overflows
+        (1.5e308, 1.0, "duration"),
+    ])
+    def test_rejects_non_finite_values(self, area, duration, field):
+        with pytest.raises(ValueError, match=field):
+            Envelope(area, "sin_squared", duration)
+
 
 def test_segment_validation():
     env = Envelope(1.0)
@@ -80,6 +90,12 @@ def test_segment_validation():
         PulseSchedule((FieldSegment(3, 0.0, env),), 2)
     with pytest.raises(ValueError):
         PulseSchedule((CouplingSegment((0, 5), 0.5, env),), 3)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_field_segment_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta"):
+        FieldSegment(0, beta, Envelope(1.0))
 
 
 def test_segment_hamiltonian_field():

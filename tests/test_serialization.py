@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holostar.architecture import Circuit, EntanglingGate, RotationGate, StarArchitecture
 from holostar.pulse import CouplingSegment, Envelope, FieldSegment, PulseSchedule
@@ -11,11 +14,9 @@ from holostar.serialization import (
     document_kind,
     dumps,
     loads,
-    matrix_to_lists,
     schedule_from_dict,
     schedule_to_dict,
     unwrap_document,
-    vector_to_lists,
 )
 from holostar.single_qubit_holonomy import RotationTarget
 
@@ -112,11 +113,51 @@ def test_circuit_gate_key_validation():
         circuit_from_dict({**base, "gates": [{"k": 0, "l": 1}]})
 
 
-def test_matrix_and_vector_lists():
-    m = matrix_to_lists(np.array([[1 + 2j, 0], [0, -1j]]))
-    assert m == [[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]
-    v = vector_to_lists(np.array([1j, 2.0]))
-    assert v == [[0.0, 1.0], [2.0, 0.0]]
+def as_lists(a: np.ndarray):
+    """A complex array as nested [real, imag] lists of floats: the oracle layout."""
+    def pairs(x):
+        return [pairs(y) for y in x] if isinstance(x, list) else [x.real, x.imag]
+    return pairs(a.tolist())
+
+
+def test_complex_array_layout():
+    # a vector is a list of [real, imag] pairs, and -0.0 prints as 0
+    assert dumps(np.array([1j, complex(2.0, -0.0)])) == ("[\n  [\n    0,\n    1\n  ],\n"
+                                                         "  [\n    2,\n    0\n  ]\n]\n")
+    m = np.array([[1 + 2j, 0], [0, -1j]])
+    assert dumps({"m": m}) == dumps({"m": [[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]})
+    assert dumps(np.zeros((0, 3), complex)) == "[]\n"
+    assert dumps(np.zeros((2, 0), complex)) == "[\n  [],\n  []\n]\n"
+
+
+parts = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1.7976931348623157e308])
+complex_arrays = hnp.arrays(np.complex128, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                            max_side=5),
+                            elements=st.builds(complex, parts, parts))
+
+
+@given(complex_arrays)
+def test_complex_array_matches_float_lists(a):
+    lists = as_lists(a)
+    for wrap in (lambda x: x, lambda x: {"state": x}, lambda x: [[{"u": x}]]):
+        assert dumps(wrap(a)) == dumps(wrap(lists))
+    strided = np.stack([a, a], axis=-1)[..., 1]  # a non-contiguous view of the same values
+    assert dumps(strided) == dumps(lists)
+
+
+@given(complex_arrays.filter(lambda a: a.size > 0), st.data())
+def test_complex_array_rejects_non_finite_parts(a, data):
+    a = a.copy()
+    index = data.draw(st.integers(0, a.size - 1))
+    bad = data.draw(st.sampled_from([complex(math.nan, 0), complex(0, math.inf),
+                                     complex(-math.inf, math.nan)]))
+    a.reshape(-1)[index] = bad
+    with pytest.raises(ValueError, match="non-finite") as from_array:
+        dumps(a)
+    with pytest.raises(ValueError) as from_lists:
+        dumps(as_lists(a))
+    assert str(from_array.value) == str(from_lists.value)
 
 
 def test_document_kind():

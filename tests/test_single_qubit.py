@@ -42,6 +42,14 @@ class TestRotationTarget:
         with pytest.raises(ValueError):
             RotationTarget(-0.1, 0, 0)
 
+    @pytest.mark.parametrize("phi, dphi, name", [
+        (math.nan, 0.5, "phi"), (math.inf, 0.5, "phi"),
+        (0.5, math.nan, "dphi"), (0.5, math.inf, "dphi"), (0.5, -math.inf, "dphi"),
+    ])
+    def test_rejects_non_finite_angles(self, phi, dphi, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            RotationTarget(1.0, phi, dphi)
+
     @given(targets_strategy())
     def test_axis_is_unit(self, t):
         assert abs(np.linalg.norm(t.axis) - 1.0) < 1e-12
