@@ -255,10 +255,15 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
      "simulate_n3.json"),
     (("synth1q", "--theta", "1.0", "--phi", "0.5", "--dphi", "0.7"), "synth1q.json"),
     (("synth2q", "--theta", "1.2", "--pair", "0", "2"), "synth2q.json"),
-], ids=["simulate", "synth1q", "synth2q"])
+    (("verify", str(GOLDEN / "synth1q.json")), "verify_synth1q.json"),
+    (("verify", str(GOLDEN / "synth2q.json")), "verify_synth2q.json"),
+    (("verify", str(GOLDEN / "circuit_n3.json")), "verify_circuit_n3.json"),
+], ids=["simulate", "synth1q", "synth2q", "verify-synth1q", "verify-synth2q",
+        "verify-circuit"])
 def test_output_matches_golden_bytes(capsys, argv, name):
-    # the golden files pin the emitted bytes of complex amplitudes and matrices;
-    # regenerate them only for a deliberate change of the numerics
+    # the golden files pin the emitted bytes of complex amplitudes and matrices,
+    # and of every verify check record; regenerate them only for a deliberate
+    # change of the numerics
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out.encode() == (GOLDEN / name).read_bytes()
