@@ -1,14 +1,16 @@
-"""Centralized numerical tolerances.
+"""Centralized certification thresholds.
 
-Every residual threshold used by constructors, verifiers and the CLI lives in
-one frozen record so the defaults are auditable in a single place.  Library
-code always uses :data:`DEFAULT_TOLERANCES`; the CLI may scale or override a
-copy for exploratory runs.
+Every threshold a ``verify`` check compares against lives in one frozen
+record so the defaults are auditable in a single place.  Library code always
+uses :data:`DEFAULT_TOLERANCES`; the CLI may scale or override a copy for
+exploratory runs.  The construction invariants of :mod:`holostar.qcore`
+(Hermitian, unitary, normalized) are fixed constants there, not settings.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -17,45 +19,35 @@ TOLERANCE_SCALE_ENV = "HOLOSTAR_TOLERANCE_SCALE"
 
 @dataclass(frozen=True)
 class Tolerances:
-    # construction invariants
-    hermitian: float = 1e-12
-    unitary: float = 1e-10
-    state_norm: float = 1e-12
-    projector: float = 1e-12
-    density: float = 1e-12
-    envelope_area: float = 1e-12
     # single-qubit protocol checks
     synthesis_distance: float = 1e-9
     dynamical_integrand: float = 1e-9
-    geometric_phase: float = 1e-6
     cyclicity: float = 1e-10
     # two-qubit gate checks
     off_block: float = 1e-10
-    block_match: float = 1e-10
-    entangling_power: float = 1e-10
-    entangling_power_pair: float = 1e-12
     holonomy_reconstruction: float = 1e-10
     transport_residual: float = 1e-9
-    commutator: float = 1e-10
-    static_projection: float = 1e-15
-    structural_equivalence: float = 1e-15
     # end-to-end simulation checks
     aux_restoration: float = 1e-10
     compiler_fidelity: float = 1e-9
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every threshold multiplied by ``factor`` (>= 1)."""
-        if factor < 1.0:
-            raise ValueError(f"tolerance scale must be >= 1, got {factor}")
+        """Return a copy with every threshold multiplied by ``factor`` (finite, >= 1)."""
+        if not (math.isfinite(factor) and factor >= 1.0):
+            raise ValueError(f"tolerance scale must be finite and >= 1, got {factor}")
         fields = {f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
         return Tolerances(**fields)
 
     def with_overrides(self, overrides: dict[str, float]) -> "Tolerances":
-        """Return a copy with named thresholds replaced; unknown names raise."""
+        """Return a copy with named thresholds replaced; unknown names and
+        non-finite or negative values raise."""
         known = {f.name for f in dataclasses.fields(self)}
         unknown = set(overrides) - known
         if unknown:
             raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
+        for name, value in overrides.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value}")
         return dataclasses.replace(self, **overrides)
 
 
@@ -68,7 +60,6 @@ def tolerances_from_env() -> Tolerances:
     if not raw:
         return DEFAULT_TOLERANCES
     try:
-        factor = float(raw)
+        return DEFAULT_TOLERANCES.scaled(float(raw))
     except ValueError as exc:
-        raise ValueError(f"{TOLERANCE_SCALE_ENV} must be a real number, got {raw!r}") from exc
-    return DEFAULT_TOLERANCES.scaled(factor)
+        raise ValueError(f"{TOLERANCE_SCALE_ENV}={raw!r}: {exc}") from None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .qcore import _PAULI, Operator, StateVector
+from .qcore import _PAULI, Operator, StateVector, _isfinite
 
 __all__ = [
     "Envelope",
@@ -44,9 +44,9 @@ class Envelope:
     def __post_init__(self):
         if self.shape not in ENVELOPE_SHAPES:
             raise ValueError(f"unknown envelope shape {self.shape!r}")
-        if not (math.isfinite(self.area) and self.area >= 0):
+        if not (_isfinite(self.area) and self.area >= 0):
             raise ValueError(f"envelope area must be finite and nonnegative, got {self.area}")
-        if not (math.isfinite(self.duration) and self.duration > 0):
+        if not (_isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"envelope duration must be finite and positive, got {self.duration}")
         if not math.isfinite(2.0 * self.area / self.duration):
             raise ValueError(f"envelope duration {self.duration} is too short for area "
@@ -81,7 +81,7 @@ class FieldSegment:
     def __post_init__(self):
         if self.qubit < 0:
             raise ValueError(f"qubit index must be nonnegative, got {self.qubit}")
-        if not math.isfinite(self.beta):
+        if not _isfinite(self.beta):
             raise ValueError(f"drive phase beta must be finite, got {self.beta}")
         object.__setattr__(self, "beta", self.beta % math.tau)
 

@@ -11,12 +11,10 @@ Qubit convention: qubit 0 is the most significant bit of the basis index, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .config import DEFAULT_TOLERANCES as _TOL
 
 __all__ = [
     "Operator",
@@ -26,7 +24,6 @@ __all__ = [
     "identity",
     "basis_state",
     "ket",
-    "matrix_exponential_hermitian",
     "tensor",
     "partial_trace",
     "phase_invariant_distance",
@@ -36,6 +33,14 @@ __all__ = [
     "permute_basis",
     "wrap_phase",
 ]
+
+# Construction invariants: how far a flagged matrix or a state may deviate
+# from its role before it is refused.
+HERMITIAN_TOL = 1e-12
+UNITARY_TOL = 1e-10
+STATE_NORM_TOL = 1e-12
+PROJECTOR_TOL = 1e-12
+DENSITY_TOL = 1e-12
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -57,11 +62,11 @@ class Operator:
         m = _as_complex_matrix(self.matrix)
         if self.hermitian:
             dev = np.max(np.abs(m - m.conj().T))
-            if dev > _TOL.hermitian:
+            if dev > HERMITIAN_TOL:
                 raise ValueError(f"operator flagged Hermitian deviates by {dev:.3e}")
         if self.unitary:
             dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if dev > _TOL.unitary:
+            if dev > UNITARY_TOL:
                 raise ValueError(f"operator flagged unitary deviates by {dev:.3e}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -69,10 +74,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian, unitary=self.unitary)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
@@ -95,7 +96,7 @@ class StateVector:
         if a.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two, got {a.size}")
         nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > _TOL.state_norm:
+        if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -112,14 +113,14 @@ class StateVector:
 class Projector:
     """An idempotent Hermitian operator selecting a subspace."""
 
-    op: Operator = field()
+    op: Operator
 
     def __post_init__(self):
         m = self.op.matrix
         dev = np.max(np.abs(m @ m - m))
-        if dev > _TOL.projector:
+        if dev > PROJECTOR_TOL:
             raise ValueError(f"projector is not idempotent, residual {dev:.3e}")
-        if np.max(np.abs(m - m.conj().T)) > _TOL.hermitian:
+        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
             raise ValueError("projector is not Hermitian")
 
     @property
@@ -135,12 +136,6 @@ class Projector:
                 raise ValueError(f"basis index {i} out of range for dimension {dim}")
             d[i] = 1.0
         return cls(Operator(np.diag(d).astype(np.complex128), hermitian=True))
-
-    @classmethod
-    def onto_span(cls, vectors: Sequence[np.ndarray]) -> "Projector":
-        """Projector onto the span of (orthonormal) column vectors."""
-        v = np.column_stack([np.asarray(x, dtype=np.complex128).reshape(-1) for x in vectors])
-        return cls(Operator(v @ v.conj().T, hermitian=True))
 
 
 _PAULI = {
@@ -180,18 +175,6 @@ def ket(bits: str) -> StateVector:
     return basis_state(len(bits), int(bits, 2))
 
 
-def matrix_exponential_hermitian(h: Operator, t: float) -> Operator:
-    """exp(-i t H) for Hermitian-flagged H, via eigendecomposition.
-
-    The spectral route keeps the result unitary to rounding for any t, which
-    matters because segment unitaries are composed hundreds of times.
-    """
-    if not h.hermitian:
-        raise ValueError("matrix_exponential_hermitian requires a Hermitian-flagged operator")
-    evals, evecs = np.linalg.eigh(h.matrix)
-    return Operator((evecs * np.exp(-1j * t * evals)) @ evecs.conj().T, unitary=True)
-
-
 def tensor(a, b):
     """Kronecker product of two operators or two state vectors."""
     if isinstance(a, Operator) and isinstance(b, Operator):
@@ -225,9 +208,9 @@ def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator
     keep = sorted(set(keep))
     if keep and not (0 <= keep[0] and keep[-1] < n_qubits):
         raise ValueError(f"kept qubit indices {keep} out of range for {n_qubits} qubits")
-    if np.max(np.abs(m - m.conj().T)) > _TOL.hermitian:
+    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
         raise ValueError("partial_trace requires a Hermitian density operator")
-    if abs(np.trace(m).real - 1.0) > _TOL.density or abs(np.trace(m).imag) > _TOL.density:
+    if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:
         raise ValueError("partial_trace requires a unit-trace density operator")
     traced = [q for q in range(n_qubits) if q not in keep]
     t = m.reshape((2,) * (2 * n_qubits))
@@ -284,6 +267,14 @@ def permute_basis(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
     if sorted(idx.tolist()) != list(range(m.shape[0])):
         raise ValueError(f"order {order} is not a permutation of 0..{m.shape[0] - 1}")
     return m[np.ix_(idx, idx)]
+
+
+def _isfinite(x) -> bool:
+    """math.isfinite, but False rather than OverflowError for an int beyond float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def wrap_phase(x: float) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulse import Envelope, FieldSegment, PulseSchedule, evolve, expectation_trace, segment_unitary
-from .qcore import _PAULI, Operator, StateVector, phase_invariant_distance, wrap_phase
+from .qcore import _PAULI, Operator, StateVector, _isfinite, phase_invariant_distance, wrap_phase
 
 __all__ = [
     "RotationTarget",
@@ -43,13 +43,12 @@ class RotationTarget:
     dphi: float = 0.0
 
     def __post_init__(self):
-        t = float(self.theta)
-        if not -1e-12 <= t <= math.pi + 1e-12:
-            raise ValueError(f"polar angle must lie in [0, pi], got {t}")
+        if not -1e-12 <= self.theta <= math.pi + 1e-12:
+            raise ValueError(f"polar angle must lie in [0, pi], got {self.theta}")
         for name in ("phi", "dphi"):
-            if not math.isfinite(getattr(self, name)):
+            if not _isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        object.__setattr__(self, "theta", min(max(t, 0.0), math.pi))
+        object.__setattr__(self, "theta", min(max(float(self.theta), 0.0), math.pi))
         object.__setattr__(self, "phi", float(self.phi) % math.tau)
         d = wrap_phase(float(self.dphi))
         object.__setattr__(self, "dphi", d)
@@ -79,13 +78,15 @@ class GeometricPhaseReport:
     ``total_phase`` is arg<psi|psi_final>; ``dynamical_phase`` is minus the
     time integral of the energy expectation; ``geometric_phase`` is their
     difference wrapped to (-pi, pi]; ``max_integrand`` is the largest sampled
-    |<H>| along the way.
+    |<H>| along the way; ``cyclicity_deviation`` is 1 - |<psi|psi_final>|,
+    how far the state is from returning to itself.
     """
 
     total_phase: float
     dynamical_phase: float
     geometric_phase: float
     max_integrand: float
+    cyclicity_deviation: float
 
 
 def synthesize(target: RotationTarget, qubit: int = 0, n_register: int | None = None,
@@ -140,8 +141,8 @@ def geometric_phase(target: RotationTarget, state: StateVector | None = None,
     if state is None:
         state = target.bloch_state()
     sched = synthesize(target, shape=shape)
-    final = evolve(sched, state)
-    total = float(np.angle(state.overlap(final)))
+    overlap = state.overlap(evolve(sched, state))
+    total = float(np.angle(overlap))
     trace = expectation_trace(sched, state, samples=samples)
     times = np.array([t for t, _ in trace])
     values = np.array([v for _, v in trace])
@@ -151,6 +152,7 @@ def geometric_phase(target: RotationTarget, state: StateVector | None = None,
         dynamical_phase=dyn,
         geometric_phase=wrap_phase(total - dyn),
         max_integrand=float(np.max(np.abs(values))),
+        cyclicity_deviation=abs(1.0 - abs(overlap)),
     )
 
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from holostar.qcore import Operator
+
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -20,6 +22,15 @@ def su2(area, beta):
     for every field-segment propagator."""
     n_sigma = math.cos(beta) * SX + math.sin(beta) * SY
     return math.cos(area / 2) * I2 - 1j * math.sin(area / 2) * n_sigma
+
+
+def matrix_exponential_hermitian(h, t):
+    """exp(-i t H) for Hermitian-flagged H by eigendecomposition: the spectral
+    oracle the closed-form propagators are checked against."""
+    if not h.hermitian:
+        raise ValueError("matrix_exponential_hermitian requires a Hermitian-flagged operator")
+    evals, evecs = np.linalg.eigh(h.matrix)
+    return Operator((evecs * np.exp(-1j * t * evals)) @ evecs.conj().T, unitary=True)
 
 
 def protocol_product(theta, phi, dphi):

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through ``main``."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from holostar import cli
 from holostar.cli import main
+from holostar.config import Tolerances
 
 PI = math.pi
 
@@ -308,6 +310,26 @@ def test_tolerance_override_rejects_garbage(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--random-circuits", "1",
                          "--tol", "off_block=abc")
     assert code == 2
+    # a non-finite threshold cannot be written to the report, and a negative
+    # one fails every check whatever the numbers are
+    for value in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "verify", "--random-circuits", "1",
+                             "--tol", f"off_block={value}")
+        assert_one_line_usage_error(code, out, err)
+        assert "--tol" in err and "off_block" in err
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Tolerances)])
+def test_every_tolerance_reaches_a_check(capsys, name):
+    # a Tolerances field that no verify check reports is a setting that changes nothing
+    sentinel = 0.125
+    reported = set()
+    for doc in ("synth1q.json", "synth2q.json", "circuit_n3.json"):
+        code, out, err = run(capsys, "verify", str(GOLDEN / doc), "--tol", f"{name}={sentinel}")
+        assert code in (0, 1), err
+        reported |= {c["name"] for c in json.loads(out)["checks"]
+                     if c["tolerance"] == sentinel}
+    assert reported, f"no check reports the {name} tolerance"
 
 
 def test_env_scale_is_applied(capsys, tmp_path, monkeypatch):
@@ -327,6 +349,12 @@ def test_env_scale_below_one_is_an_error(capsys, monkeypatch):
     monkeypatch.setenv("HOLOSTAR_TOLERANCE_SCALE", "abc")
     code, out, err = run(capsys, "verify", "--random-circuits", "1")
     assert code == 2
+    # a non-finite scale is refused before any check runs
+    for value in ("nan", "inf"):
+        monkeypatch.setenv("HOLOSTAR_TOLERANCE_SCALE", value)
+        code, out, err = run(capsys, "verify", "--random-circuits", "1")
+        assert_one_line_usage_error(code, out, err)
+        assert "HOLOSTAR_TOLERANCE_SCALE" in err
 
 
 def test_out_writes_file_not_stdout(capsys, tmp_path):
@@ -346,6 +374,17 @@ def test_argparse_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+    # --tol only changes what verify checks, and only ep-sweep has a second format
+    for argv in (("synth1q", "--theta", "1.0", "--dphi", "0.1", "--tol", "off_block=1"),
+                 ("synth2q", "--theta", "1.0", "--tol", "off_block=1"),
+                 ("simulate", "--circuit", "-", "--tol", "off_block=1"),
+                 ("ep-sweep", "--tol", "off_block=1"),
+                 ("phase-report", "--theta", "1.0", "--dphi", "0.1", "--tol", "off_block=1"),
+                 ("verify", "--random-circuits", "1", "--format", "json"),
+                 ("simulate", "--circuit", "-", "--format", "json")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
 
 
 def test_stdin_document(capsys, tmp_path, monkeypatch):

@@ -21,10 +21,9 @@ from holostar.qcore import (
     StateVector,
     embed_operator,
     ket,
-    matrix_exponential_hermitian,
 )
 
-from conftest import SX, SY, haar_state, su2
+from conftest import SX, SY, haar_state, matrix_exponential_hermitian, su2
 
 areas = st.floats(0.0, 4 * math.pi)
 betas = st.floats(-10.0, 10.0)
@@ -71,6 +70,9 @@ class TestEnvelope:
         (1.0, math.nan, "duration"), (1.0, math.inf, "duration"),
         (2 * math.pi, 1e-310, "duration"),  # the peak 2 * area / duration overflows
         (1.5e308, 1.0, "duration"),
+        # an int beyond float range is refused like any other non-finite value
+        pytest.param(10**400, 1.0, "area", id="int-overflow-area"),
+        pytest.param(1.0, 10**400, "duration", id="int-overflow-duration"),
     ])
     def test_rejects_non_finite_values(self, area, duration, field):
         with pytest.raises(ValueError, match=field):
@@ -92,7 +94,8 @@ def test_segment_validation():
         PulseSchedule((CouplingSegment((0, 5), 0.5, env),), 3)
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf,
+                                  pytest.param(10**400, id="int-overflow")])
 def test_field_segment_rejects_non_finite_beta(beta):
     with pytest.raises(ValueError, match="beta"):
         FieldSegment(0, beta, Envelope(1.0))

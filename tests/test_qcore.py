@@ -14,7 +14,6 @@ from holostar.qcore import (
     embed_operator,
     identity,
     ket,
-    matrix_exponential_hermitian,
     partial_trace,
     pauli,
     permute_basis,
@@ -24,7 +23,7 @@ from holostar.qcore import (
     wrap_phase,
 )
 
-from conftest import SX, SY, SZ, random_unitary
+from conftest import SX, SY, SZ, matrix_exponential_hermitian, random_unitary
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 

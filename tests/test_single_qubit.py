@@ -41,10 +41,15 @@ class TestRotationTarget:
             RotationTarget(3.5, 0, 0)
         with pytest.raises(ValueError):
             RotationTarget(-0.1, 0, 0)
+        with pytest.raises(ValueError):
+            RotationTarget(10**400, 0, 0)
 
     @pytest.mark.parametrize("phi, dphi, name", [
         (math.nan, 0.5, "phi"), (math.inf, 0.5, "phi"),
         (0.5, math.nan, "dphi"), (0.5, math.inf, "dphi"), (0.5, -math.inf, "dphi"),
+        # an int beyond float range is refused like any other non-finite value
+        pytest.param(10**400, 0.5, "phi", id="int-overflow-phi"),
+        pytest.param(0.5, -10**400, "dphi", id="int-overflow-dphi"),
     ])
     def test_rejects_non_finite_angles(self, phi, dphi, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -165,6 +170,7 @@ class TestGeometricPhase:
         psi = t.bloch_state()
         final = evolve(synthesize(t), psi)
         assert abs(abs(psi.overlap(final)) - 1.0) < 1e-10
+        assert geometric_phase(t, samples=2).cyclicity_deviation < 1e-10
 
     def test_sin_squared_shape(self):
         r = geometric_phase(RotationTarget(1.0, 0.3, -0.8), shape="sin_squared")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holostar.pulse import Envelope
+from holostar.pulse import CouplingSegment, Envelope, segment_unitary
 from holostar.qcore import Operator
 from holostar.two_qubit_holonomy import (
     AUX_BLOCK_ORDER,
@@ -17,6 +17,7 @@ from holostar.two_qubit_holonomy import (
     entangling_power_law,
     holonomy_decompose,
     ideal_block,
+    split_blocks,
     transport_residuals,
     two_qubit_gate,
     verify_parallel_transport,
@@ -83,6 +84,19 @@ def test_blocks_match_closed_form_across_grid(theta):
     assert dec.off_block_residual <= 1e-10
     assert np.max(np.abs(dec.u0.matrix - ideal_block(theta, 0))) <= 1e-10
     assert np.max(np.abs(dec.u1.matrix - ideal_block(theta, 1))) <= 1e-10
+
+
+def test_split_blocks_reports_leakage_without_raising():
+    # half the gate area leaves the auxiliary half flipped: the propagator is
+    # unitary but its blocks are not, and the leakage is sqrt(1/2)
+    u = segment_unitary(CouplingSegment((0, 1), math.pi / 2, Envelope(math.pi))).matrix
+    u0, u1, off = split_blocks(u)
+    flips = [abs(u[i, j]) for i in range(8) for j in range(8) if (i ^ j) & 0b010]
+    assert off == max(flips)
+    assert off == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    aux0, aux1 = [0, 1, 4, 5], [2, 3, 6, 7]
+    assert np.array_equal(u0, u[np.ix_(aux0, aux0)])
+    assert np.array_equal(u1, u[np.ix_(aux1, aux1)])
 
 
 @given(mix_angles)
