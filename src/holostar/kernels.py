@@ -1,4 +1,15 @@
-"""State-vector gate application: a numpy tensor contraction on the target axes."""
+"""State-vector gate application: a numpy contraction on the target axes.
+
+A one-qubit gate on qubit q sees the state as (L, 2, R), L = 2^q, R = 2^(n-q-1).
+Per-apply costs at n = 15 on a 2-vCPU Xeon, where moving the target axis to
+the front and back cost 0.17-0.46 ms at every q:
+- L <= R or R >= 64: ``gate @ view`` batched over L, 0.10-0.17 ms.  BLAS pays
+  per batch, so this shape takes 1.1 ms at R = 8 and worse below.
+- R <= 8: the (L, 2R) view times (gate (x) I_R)^T, one GEMM, 0.14-0.23 ms.
+  The factor is built by broadcasting (~7 us; ``np.kron`` takes ~30 us).
+- otherwise, and for m > 1: targets moved to the front, one ``gate @``
+  product, assigned back through the moved view (0.18 ms at R = 16, 32).
+"""
 
 import numpy as np
 
@@ -26,9 +37,18 @@ def apply_gate_inplace(state, gate, targets):
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (1 << m, 1 << m):
         raise ValueError(f"gate shape {gate.shape} does not match {m} target qubits")
+    if m == 1:
+        lo, r = 1 << targets[0], 1 << (n - 1 - targets[0])
+        if lo <= r or r >= 64:
+            v = state.reshape(lo, 2, r)
+            v[...] = gate @ v
+            return
+        if r <= 8:
+            v = state.reshape(lo, 2 * r)
+            v[...] = v @ (gate.T[:, None, :, None] * np.eye(r)[:, None]).reshape(2 * r, 2 * r)
+            return
     t = np.moveaxis(state.reshape((2,) * n), targets, range(m))
-    out = (gate @ t.reshape(1 << m, -1)).reshape(t.shape)
-    state[:] = np.moveaxis(out, range(m), targets).reshape(-1)
+    t[...] = (gate @ t.reshape(1 << m, -1)).reshape(t.shape)
 
 
 def apply_gate(state, gate, targets):
