@@ -4,6 +4,19 @@ Operators and state vectors are immutable wrappers around complex128 numpy
 arrays.  Role flags (``hermitian`` / ``unitary``) are verified at construction
 time, so a flagged operator can be trusted downstream without re-checking.
 
+Every check is written so that a NaN deviation fails it: a state vector, a
+flagged operator, a projector or the density operator handed to
+``partial_trace`` holding a NaN or infinite entry is refused.  (An operator
+without role flags is not checked, so it may hold any value.)
+
+A wrapper's array cannot be changed through a reference the caller keeps.
+An array the wrapper is handed whole becomes its own and is frozen in place,
+so a later write through the caller's name raises; an array that views
+memory belonging to another object (a reshape, a slice, a buffer) is copied
+first.  Handing over a fresh array therefore costs no copy, which is how
+``evolve`` returns its state.  (Views the caller took of an array before
+handing it over are not tracked.)
+
 Qubit convention: qubit 0 is the most significant bit of the basis index, so
 ``tensor(a, b)`` puts ``a`` on the most significant positions.
 """
@@ -50,6 +63,20 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only, copied first when it views another object's memory
+    (which the caller may still write through)."""
+    if a.base is not None:
+        a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+# Read-only identities for the small dimensions every gate and block check
+# uses; a larger unitary check builds its identity per call.
+_EYE = {d: _frozen(np.eye(d, dtype=np.complex128)) for d in (1, 2, 4, 8, 16)}
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """A dense complex square matrix with verified role flags."""
@@ -61,15 +88,16 @@ class Operator:
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         if self.hermitian:
-            dev = np.max(np.abs(m - m.conj().T))
-            if dev > HERMITIAN_TOL:
+            dev = np.abs(m - m.conj().T).max()
+            if not dev <= HERMITIAN_TOL:
                 raise ValueError(f"operator flagged Hermitian deviates by {dev:.3e}")
         if self.unitary:
-            dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-            if dev > UNITARY_TOL:
+            d = m.shape[0]
+            eye = _EYE[d] if d in _EYE else np.eye(d, dtype=np.complex128)
+            dev = np.abs(m.conj().T @ m - eye).max()
+            if not dev <= UNITARY_TOL:
                 raise ValueError(f"operator flagged unitary deviates by {dev:.3e}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     @property
     def dim(self) -> int:
@@ -91,15 +119,17 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        a = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        if a.ndim != 1:
+            a = a.reshape(-1)
         n = (a.size - 1).bit_length()
         if a.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two, got {a.size}")
-        nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > STATE_NORM_TOL:
+        # the sum numpy.linalg.norm forms for a complex vector, without its dispatch
+        nrm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+        if not abs(nrm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "amplitudes", _frozen(a))
 
     @property
     def n_qubits(self) -> int:
@@ -117,10 +147,10 @@ class Projector:
 
     def __post_init__(self):
         m = self.op.matrix
-        dev = np.max(np.abs(m @ m - m))
-        if dev > PROJECTOR_TOL:
+        dev = np.abs(m @ m - m).max()
+        if not dev <= PROJECTOR_TOL:
             raise ValueError(f"projector is not idempotent, residual {dev:.3e}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
             raise ValueError("projector is not Hermitian")
 
     @property
@@ -191,12 +221,12 @@ def tensor(a, b):
 def density(psi: StateVector) -> Operator:
     """Rank-one density operator |psi><psi|."""
     a = psi.amplitudes
-    return Operator(np.outer(a, a.conj()), hermitian=True)
+    return Operator(a[:, None] * a.conj(), hermitian=True)
 
 
 def purity(rho) -> float:
     m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho)
-    return float(np.trace(m @ m).real)
+    return float((m @ m).trace().real)
 
 
 def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator:
@@ -208,9 +238,10 @@ def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator
     keep = sorted(set(keep))
     if keep and not (0 <= keep[0] and keep[-1] < n_qubits):
         raise ValueError(f"kept qubit indices {keep} out of range for {n_qubits} qubits")
-    if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+    if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
         raise ValueError("partial_trace requires a Hermitian density operator")
-    if abs(np.trace(m).real - 1.0) > DENSITY_TOL or abs(np.trace(m).imag) > DENSITY_TOL:
+    tr = m.trace()
+    if not (abs(tr.real - 1.0) <= DENSITY_TOL and abs(tr.imag) <= DENSITY_TOL):
         raise ValueError("partial_trace requires a unit-trace density operator")
     traced = [q for q in range(n_qubits) if q not in keep]
     t = m.reshape((2,) * (2 * n_qubits))

@@ -181,6 +181,9 @@ _PAULI_EIGENSTATES = (
     np.array([_S2, 1j * _S2], dtype=np.complex128),
     np.array([_S2, -1j * _S2], dtype=np.complex128),
 )
+# Their 36 products a (x) b, one per row, built once.
+_PRODUCT_INPUTS = np.array([np.kron(a, b) for a, b in product(_PAULI_EIGENSTATES, repeat=2)])
+_PRODUCT_INPUTS.setflags(write=False)
 
 
 def entangling_power(u: Operator) -> float:
@@ -191,9 +194,10 @@ def entangling_power(u: Operator) -> float:
     """
     if not u.unitary or u.dim != 4:
         raise ValueError("entangling power requires a unitary-flagged 4x4 operator")
+    m = u.matrix
     total = 0.0
-    for a, b in product(_PAULI_EIGENSTATES, repeat=2):
-        phi = StateVector(u.matrix @ np.kron(a, b))
+    for ab in _PRODUCT_INPUTS:
+        phi = StateVector(m @ ab)
         rho_a = partial_trace(density(phi), keep=(0,), n_qubits=2)
         total += 1.0 - purity(rho_a)
     return total / 36.0

@@ -6,6 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holostar.qcore import (
+    DENSITY_TOL,
+    HERMITIAN_TOL,
+    PROJECTOR_TOL,
+    STATE_NORM_TOL,
+    UNITARY_TOL,
     Operator,
     Projector,
     StateVector,
@@ -51,6 +56,96 @@ def test_operator_matrix_is_frozen():
     op = pauli("x")
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 5.0
+
+
+def test_wrapper_copies_a_view_of_writable_memory():
+    a = np.eye(2, dtype=complex)
+    op = Operator(a.reshape(2, 2), unitary=True)
+    a[0, 0] = 5
+    assert op.matrix[0, 0] == 1
+    b = np.array([[1, 0]], dtype=complex)
+    psi = StateVector(b)
+    b[0, 0] = 7
+    assert psi.amplitudes[0] == 1
+    buf = bytearray(np.array([1, 0], dtype=complex).tobytes())
+    psi = StateVector(np.frombuffer(buf, dtype=complex))
+    buf[:16] = np.array([7], dtype=complex).tobytes()
+    assert psi.amplitudes[0] == 1
+
+
+def test_wrapper_takes_over_an_owned_array_without_a_copy():
+    # the caller's own name can no longer write, so no copy is needed; evolve
+    # relies on this to hand over its working vector for free
+    b = np.array([1, 0], dtype=complex)
+    psi = StateVector(b)
+    assert psi.amplitudes is b
+    with pytest.raises(ValueError, match="read-only"):
+        b[0] = 7
+    a = np.eye(2, dtype=complex)
+    op = Operator(a, unitary=True)
+    assert op.matrix is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 5
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(0, math.inf)]
+# numpy warns on inf - inf and inf * 0 along the way; the refusal is what counts
+non_finite = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
+@non_finite
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_statevector_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(np.array([bad, 0]))
+
+
+@non_finite
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("flag, message", [("hermitian", "Hermitian"), ("unitary", "unitary")])
+def test_flagged_operator_refuses_non_finite(bad, flag, message):
+    with pytest.raises(ValueError, match=message):
+        Operator(np.array([[bad, 0], [0, 1]]), **{flag: True})
+
+
+@non_finite
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_projector_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="idempotent"):
+        Projector(Operator(np.array([[bad, 0], [0, 1]])))
+
+
+@non_finite
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_partial_trace_refuses_non_finite(bad):
+    with pytest.raises(ValueError, match="Hermitian"):
+        partial_trace(Operator(np.full((4, 4), bad, dtype=complex)), keep=(0,), n_qubits=2)
+
+
+# Each builder hands its check a deviation of ``d``, up to rounding far below d.
+@pytest.mark.parametrize("tol, rejected, message, build", [
+    pytest.param(HERMITIAN_TOL, 2, "Hermitian",
+                 lambda d: Operator(np.array([[0, d], [0, 0]]), hermitian=True), id="hermitian"),
+    pytest.param(UNITARY_TOL, 2, "unitary",
+                 lambda d: Operator(np.diag([math.sqrt(1 + d), 1.0]), unitary=True),
+                 id="unitary"),
+    pytest.param(STATE_NORM_TOL, 2, "norm", lambda d: StateVector(np.array([1 + d, 0])),
+                 id="state-norm"),
+    pytest.param(PROJECTOR_TOL, 2, "idempotent",
+                 lambda d: Projector(Operator(np.diag([1 + d, 0]))), id="projector"),
+    pytest.param(DENSITY_TOL, 2, "unit-trace",
+                 lambda d: partial_trace(Operator(np.diag([1 + d, 0, 0, 0])), keep=(0,),
+                                         n_qubits=2), id="density-trace"),
+    # Hermiticity keeps each diagonal imaginary part within HERMITIAN_TOL / 2,
+    # so four entries of 0.4 tol give the largest reachable trace, 1.6 tol.
+    pytest.param(DENSITY_TOL, 1.6, "unit-trace",
+                 lambda d: partial_trace(Operator(np.diag([1, 0, 0, 0]) + 0.25j * d * np.eye(4)),
+                                         keep=(0,), n_qubits=2), id="density-trace-imag"),
+])
+def test_check_threshold_from_both_sides(tol, rejected, message, build):
+    build(0.5 * tol)
+    with pytest.raises(ValueError, match=message):
+        build(rejected * tol)
 
 
 def test_statevector_validation():

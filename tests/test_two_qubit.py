@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from holostar.pulse import CouplingSegment, Envelope, segment_unitary
 from holostar.qcore import Operator
 from holostar.two_qubit_holonomy import (
+    _PRODUCT_INPUTS,
     AUX_BLOCK_ORDER,
     BlockDecomposition,
     CouplingGateSpec,
@@ -23,7 +25,24 @@ from holostar.two_qubit_holonomy import (
     verify_parallel_transport,
 )
 
+from conftest import random_unitary
+
 mix_angles = st.floats(0.0, math.pi)
+
+_S = 1.0 / math.sqrt(2.0)
+PAULI_EIGENSTATES = [np.array(v, dtype=complex) for v in
+                     ([1, 0], [0, 1], [_S, _S], [_S, -_S], [_S, 1j * _S], [_S, -1j * _S])]
+
+
+def kron_loop_entangling_power(u):
+    """The per-input route: np.kron each Pauli-eigenstate product, map it
+    through u and trace qubit 1 out by einsum.  Oracle for entangling_power."""
+    total = 0.0
+    for a, b in product(PAULI_EIGENSTATES, repeat=2):
+        phi = u @ np.kron(a, b)
+        rho_a = np.einsum("itjt->ij", np.outer(phi, phi.conj()).reshape(2, 2, 2, 2))
+        total += 1.0 - float(np.trace(rho_a @ rho_a).real)
+    return total / 36.0
 
 
 def test_spec_validation():
@@ -146,6 +165,24 @@ class TestEntanglingPower:
             entangling_power(Operator(np.eye(4) * 2))
         with pytest.raises(ValueError):
             entangling_power(Operator(np.eye(8), unitary=True))
+
+    def test_product_table_is_the_kron_products(self):
+        expected = [np.kron(a, b) for a, b in product(PAULI_EIGENSTATES, repeat=2)]
+        assert len(_PRODUCT_INPUTS) == 36
+        for got, want in zip(_PRODUCT_INPUTS, expected):
+            assert np.array_equal(got, want)
+
+    def test_kron_loop_oracle_on_random_unitaries(self, rng):
+        for _ in range(20):
+            u = random_unitary(4, rng)
+            assert abs(entangling_power(Operator(u, unitary=True))
+                       - kron_loop_entangling_power(u)) <= 1e-15
+
+    @pytest.mark.parametrize("block", ["u0", "u1"])
+    def test_kron_loop_oracle_on_angle_grid(self, block):
+        for theta in np.linspace(0, math.pi, 32):
+            u = getattr(two_qubit_gate(CouplingGateSpec(float(theta))), block)
+            assert abs(entangling_power(u) - kron_loop_entangling_power(u.matrix)) <= 1e-15
 
     def test_monte_carlo_oracle_agrees(self, rng):
         # Haar product-state average via sampling; the 36-state average must
