@@ -260,8 +260,17 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     (("verify", str(GOLDEN / "synth1q.json")), "verify_synth1q.json"),
     (("verify", str(GOLDEN / "synth2q.json")), "verify_synth2q.json"),
     (("verify", str(GOLDEN / "circuit_n3.json")), "verify_circuit_n3.json"),
+    (("synth1q", "--theta", "1.0", "--phi", "0.5", "--dphi", "0.7", "--shape", "sin_squared"),
+     "synth1q_sin2.json"),
+    (("synth2q", "--theta", "1.2", "--pair", "0", "2", "--shape", "sin_squared"),
+     "synth2q_sin2.json"),
+    (("verify", str(GOLDEN / "synth1q_sin2.json")), "verify_synth1q_sin2.json"),
+    (("verify", str(GOLDEN / "synth2q_sin2.json")), "verify_synth2q_sin2.json"),
+    (("phase-report", "--theta", "1.0", "--phi", "0.5", "--dphi", "0.7",
+      "--shape", "sin_squared"), "phase_report_sin2.json"),
 ], ids=["simulate", "synth1q", "synth2q", "verify-synth1q", "verify-synth2q",
-        "verify-circuit"])
+        "verify-circuit", "synth1q-sin2", "synth2q-sin2", "verify-synth1q-sin2",
+        "verify-synth2q-sin2", "phase-report-sin2"])
 def test_output_matches_golden_bytes(capsys, argv, name):
     # the golden files pin the emitted bytes of complex amplitudes and matrices,
     # and of every verify check record; regenerate them only for a deliberate
