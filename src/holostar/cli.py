@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -203,6 +204,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     return out, 0 if passed else VERIFY_ERROR
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holostar",

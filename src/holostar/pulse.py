@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .qcore import _PAULI, Operator, StateVector, _isfinite
+from .qcore import _EYE, _PAULI, Operator, StateVector, _isfinite
 
 __all__ = [
     "Envelope",
@@ -59,6 +59,23 @@ class Envelope:
         if self.shape == "constant":
             return self.area / self.duration
         return (2.0 * self.area / self.duration) * math.sin(math.pi * t / self.duration) ** 2
+
+    def sampled(self, samples: int) -> list[tuple[float, float]]:
+        """``samples`` evenly spaced ``(t, amplitude(t))`` pairs, ends included.
+
+        Sample j sits at ``duration * (j / (samples - 1))``, so the last one is
+        exactly ``duration``, and each amplitude is the float :meth:`amplitude`
+        returns there, without its per-call range check.
+        """
+        if samples < 2:
+            raise ValueError(f"need at least 2 samples, got {samples}")
+        d = self.duration
+        times = [d * (j / (samples - 1)) for j in range(samples)]
+        if self.shape == "constant":
+            a = self.area / d
+            return [(t, a) for t in times]
+        peak = 2.0 * self.area / d
+        return [(t, peak * math.sin(math.pi * t / d) ** 2) for t in times]
 
     def partial_area(self, t: float) -> float:
         """Integral of the amplitude from 0 to t."""
@@ -186,7 +203,7 @@ def _propagator(h_unit: np.ndarray, area: float) -> np.ndarray:
     {-1, 0, 1} (a spin-1/2 drive, or the exchange at unit strength), so that
     (2H)^3 = 2H and the exponential series sums to the closed form below."""
     g = 2.0 * h_unit
-    return (np.eye(g.shape[0]) + (math.cos(area / 2.0) - 1.0) * (g @ g)
+    return (_EYE[g.shape[0]] + (math.cos(area / 2.0) - 1.0) * (g @ g)
             - 1j * math.sin(area / 2.0) * g)
 
 
@@ -248,10 +265,12 @@ def expectation_trace(schedule: PulseSchedule, psi: StateVector,
     """Sampled <psi(t)| H(t) |psi(t)> along the schedule.
 
     Returns ``samples`` points per segment as (global time, expectation)
-    pairs; the last sample of each segment falls exactly on its end.  Within
-    a segment H(t) = a(t) H_unit and the propagator U(t) = exp(-i A(t) H_unit)
-    commutes with H_unit, so <psi(t)|H(t)|psi(t)> = a(t) <psi_k|H_unit|psi_k>
-    with psi_k the state at the segment's start.  One energy per segment
+    pairs on the segment's :meth:`Envelope.sampled` grid, the one sample grid
+    of the package, so the last sample of each segment falls exactly on its
+    end.  Within a segment H(t) = a(t) H_unit and the propagator
+    U(t) = exp(-i A(t) H_unit) commutes with H_unit, so
+    <psi(t)|H(t)|psi(t)> = a(t) <psi_k|H_unit|psi_k> with psi_k the state at
+    the segment's start.  One energy per segment
     therefore gives every sample, and the values are exact for the
     piecewise-constant-direction Hamiltonian, not a discretization.
     """
@@ -265,9 +284,7 @@ def expectation_trace(schedule: PulseSchedule, psi: StateVector,
         h_unit = _unit_hamiltonian(seg)
         energy = float(np.vdot(amps, kernels.apply_gate(amps, h_unit, targets)).real)
         env = seg.envelope
-        for j in range(samples):
-            t = env.duration * (j / (samples - 1))
-            out.append((t0 + t, env.amplitude(t) * energy))
+        out.extend((t0 + t, a * energy) for t, a in env.sampled(samples))
         kernels.apply_gate_inplace(amps, _propagator(h_unit, env.area), targets)
         t0 += env.duration
     return out

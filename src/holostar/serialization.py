@@ -32,6 +32,9 @@ __all__ = [
     "unwrap_document",
 ]
 
+# What ``json.dumps`` calls for a str: the quoted, ASCII-escaped literal.
+_quote = json.encoder.encode_basestring_ascii
+
 
 def _complex_template(shape: tuple, indent: int) -> str:
     """Layout of a complex array as nested ``[real, imag]`` lists, one ``%.17g``
@@ -60,7 +63,7 @@ def _emit(obj, indent: int) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"document keys must be strings, got {key!r}")
-            items.append(f'{pad}  {json.dumps(key)}: {_emit(obj[key], indent + 1)}')
+            items.append(f'{pad}  {_quote(key)}: {_emit(obj[key], indent + 1)}')
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -68,7 +71,7 @@ def _emit(obj, indent: int) -> str:
         items = [f"{pad}  {_emit(x, indent + 1)}" for x in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):

@@ -210,21 +210,23 @@ def entangling_power_law(mix_theta: float) -> float:
 
 _PROJECTORS = {name: Projector.onto_indices(8, idx).matrix
                for name, idx in PROJECTOR_INDEX_SETS.items()}
+# The same six projectors as one (6, 8, 8) stack, for a single batched SVD.
+_PROJECTOR_STACK = np.array(list(_PROJECTORS.values()))
+_PROJECTOR_STACK.setflags(write=False)
 
 
 def transport_residuals(h_unit: np.ndarray, env: Envelope, samples: int) -> tuple[float, ...]:
     """max_P ||U P U^dag H(t) U P U^dag||_2 over the six invariant-subspace
-    projectors at ``samples`` evenly spaced times, ends included.
+    projectors at the times of ``env.sampled(samples)``, the one sample grid
+    of the package (:meth:`Envelope.sampled`).
 
     U = exp(-i A(t) H_unit) commutes with H(t) = a(t) H_unit, so the operator
     is a(t) U (P H_unit P) U^dag and its norm a(t) ||P H_unit P||_2: six
-    spectral norms however many times are sampled.
+    spectral norms, from one batched SVD, however many times are sampled.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    static = max(float(np.linalg.norm(p @ h_unit @ p, ord=2)) for p in _PROJECTORS.values())
-    return tuple(env.amplitude(env.duration * (j / (samples - 1))) * static
-                 for j in range(samples))
+    stack = _PROJECTOR_STACK @ h_unit @ _PROJECTOR_STACK
+    static = float(np.linalg.svd(stack, compute_uv=False).max())
+    return tuple(a * static for _, a in env.sampled(samples))
 
 
 def verify_parallel_transport(spec: CouplingGateSpec, samples: int = 64,
@@ -246,10 +248,9 @@ def verify_parallel_transport(spec: CouplingGateSpec, samples: int = 64,
     residuals = transport_residuals(h_unit, env, samples)
     static = max(float(np.max(np.abs(p @ h_unit @ p))) for p in _PROJECTORS.values())
     commutator = 0.0
-    for j in range(samples):
-        t = env.duration * (j / (samples - 1))
+    for t, a in env.sampled(samples):
         u_t = _propagator(h_unit, env.partial_area(t))
-        h_t = env.amplitude(t) * h_unit
+        h_t = a * h_unit
         commutator = max(commutator, float(np.max(np.abs(h_t @ u_t - u_t @ h_t))))
 
     dec = two_qubit_gate(spec, shape)

@@ -309,6 +309,30 @@ def test_tolerance_override_is_reported(capsys, tmp_path):
     assert check["tolerance"] == 1e-3
 
 
+def test_cached_parser_carries_no_state_between_calls(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    doc_path = str(GOLDEN / "synth2q.json")
+    for _ in range(2):
+        doc = run_json(capsys, "verify", "--tol", "transport_residual=0.125", doc_path)
+        (check,) = [c for c in doc["checks"] if c["name"] == "transport_residual"]
+        assert check["tolerance"] == 0.125
+    # the default tolerance is back, and the --tol list did not accumulate
+    code, out, err = run(capsys, "verify", doc_path)
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / "verify_synth2q.json").read_bytes()
+    assert cli._build_parser().parse_args(["verify", doc_path]).tol == []
+    assert cli._build_parser().parse_args(["verify", "--tol", "a=1", doc_path]).tol == ["a=1"]
+    # an argparse error leaves the parser fit for the next command
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--circuit", str(GOLDEN / "circuit_n3.json"), "--shots", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, "simulate", "--circuit", str(GOLDEN / "circuit_n3.json"),
+                         "--input", "101")
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / "simulate_n3.json").read_bytes()
+
+
 def test_tolerance_override_rejects_garbage(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--random-circuits", "1",
                          "--tol", "no_such_tolerance=1")

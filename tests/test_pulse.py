@@ -287,6 +287,23 @@ def test_expectation_trace_last_sample_is_the_segment_end():
     assert trace[-1][0] == duration + duration
 
 
+@given(st.sampled_from(["constant", "sin_squared"]), areas,
+       st.one_of(st.floats(1e-3, 10.0), st.just(0.8667828438243994)),
+       st.integers(2, 200))
+def test_envelope_sampled_is_amplitude_on_its_grid(shape, area, duration, samples):
+    env = Envelope(area, shape, duration)
+    times = [duration * (j / (samples - 1)) for j in range(samples)]
+    got = env.sampled(samples)
+    assert got == [(t, env.amplitude(t)) for t in times]
+    assert got[-1][0] == duration
+
+
+def test_envelope_sampled_needs_two_samples():
+    for samples in (1, 0, -3):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            Envelope(1.0).sampled(samples)
+
+
 def _sampled_trace_oracle(schedule, psi, samples):
     """Per-sample partial-area propagation with full matrices.
 

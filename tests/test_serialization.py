@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from holostar.architecture import Circuit, EntanglingGate, RotationGate, StarArchitecture
 from holostar.pulse import CouplingSegment, Envelope, FieldSegment, PulseSchedule
 from holostar.serialization import (
+    _quote,
     circuit_from_dict,
     circuit_to_dict,
     document_kind,
@@ -158,6 +160,19 @@ def test_complex_array_rejects_non_finite_parts(a, data):
     with pytest.raises(ValueError) as from_lists:
         dumps(as_lists(a))
     assert str(from_array.value) == str(from_lists.value)
+
+
+_awkward_chars = st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'),  # quotes, backslashes, controls
+    st.characters(),  # any code point outside the surrogates, non-ASCII included
+    st.integers(0xD800, 0xDFFF).map(chr),  # lone surrogates
+)
+
+
+@given(st.text(_awkward_chars))
+def test_quote_is_json_dumps_of_a_string(s):
+    assert _quote(s) == json.dumps(s)
+    assert dumps({s: s}) == "{\n  " + json.dumps(s) + ": " + json.dumps(s) + "\n}\n"
 
 
 def test_document_kind():

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holostar.pulse import CouplingSegment, Envelope, segment_unitary
+from holostar.pulse import CouplingSegment, Envelope, coupling_hamiltonian, segment_unitary
 from holostar.qcore import Operator
 from holostar.two_qubit_holonomy import (
     _PRODUCT_INPUTS,
+    _PROJECTORS,
     AUX_BLOCK_ORDER,
     BlockDecomposition,
     CouplingGateSpec,
@@ -250,16 +251,25 @@ def _sampled_transport_oracle(h_unit, env, samples):
     return worst, argmax
 
 
+def _seeded_directions():
+    """Twelve seeded random Hermitian directions, each with an envelope area
+    and duration."""
+    rng = np.random.default_rng(4417)
+    out = []
+    for _ in range(12):
+        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        out.append(((z + z.conj().T) / 2, float(rng.uniform(0.1, 4 * math.pi)),
+                    float(rng.uniform(0.1, 3.0))))
+    return out
+
+
 @pytest.mark.parametrize("shape", ["constant", "sin_squared"])
 def test_transport_residuals_match_sampled_propagation(shape):
     # A random Hermitian direction has a nonzero residual, so a helper that
     # dropped a(t) or the dominant projector would disagree with the oracle.
-    rng = np.random.default_rng(4417)
     dominant = set()
-    for _ in range(12):
-        z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h_unit = (z + z.conj().T) / 2
-        env = Envelope(float(rng.uniform(0.1, 4 * math.pi)), shape, float(rng.uniform(0.1, 3.0)))
+    for h_unit, area, duration in _seeded_directions():
+        env = Envelope(area, shape, duration)
         got = np.array(transport_residuals(h_unit, env, 64))
         want, argmax = _sampled_transport_oracle(h_unit, env, 64)
         assert got.shape == (64,)
@@ -268,6 +278,17 @@ def test_transport_residuals_match_sampled_propagation(shape):
     # both block projectors dominate somewhere; the four refinements never can,
     # since P' <= P gives ||P' H P'|| <= ||P H P||
     assert dominant == {"P_0", "P_1"}
+
+
+def test_batched_transport_norm_equals_per_projector_norms():
+    # Envelope(1.0) has amplitude exactly 1, so every residual is the norm itself
+    unit = Envelope(1.0)
+    directions = [h_unit for h_unit, _, _ in _seeded_directions()]
+    directions += [coupling_hamiltonian(math.cos(mix / 2), math.sin(mix / 2))
+                   for mix in np.linspace(0.0, math.pi, 33).tolist()]
+    for h_unit in directions:
+        want = max(np.linalg.norm(p @ h_unit @ p, ord=2) for p in _PROJECTORS.values())
+        assert transport_residuals(h_unit, unit, 2) == (want, want)
 
 
 class TestHolonomyDecompose:
