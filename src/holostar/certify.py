@@ -21,7 +21,7 @@ from .pulse import (
     CouplingSegment,
     FieldSegment,
     PulseSchedule,
-    coupling_hamiltonian,
+    _unit_hamiltonian,
     evolve,
     expectation_trace,
     segment_unitary,
@@ -69,8 +69,7 @@ def _verify_field_chunk(chunk, index: int, tol: Tolerances, samples: int) -> lis
     ]
 
 
-def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances,
-                             samples: int) -> list[dict]:
+def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances) -> list[dict]:
     """Certify one coupling pulse: block structure, transport, holonomy.
 
     A leaky propagator stops after the block check: its blocks are not
@@ -82,8 +81,8 @@ def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances,
     if off > tol.off_block:
         return checks
 
-    h_unit = coupling_hamiltonian(math.cos(seg.mix_theta / 2), math.sin(seg.mix_theta / 2))
-    worst = max(tq.transport_residuals(h_unit, seg.envelope, samples))
+    # the supremum over the pulse, a(t) ||P H_unit P|| at the envelope's peak
+    worst = seg.envelope.peak * tq.transport_norm(_unit_hamiltonian(seg))
     checks.append(_check("transport_residual", worst, tol.transport_residual, **where))
 
     dec = tq.BlockDecomposition(Operator(u0, unitary=True), Operator(u1, unitary=True), off)
@@ -95,14 +94,15 @@ def _verify_coupling_segment(seg: CouplingSegment, index: int, tol: Tolerances,
 
 def verify_schedule(schedule: PulseSchedule, tol: Tolerances = DEFAULT_TOLERANCES,
                     samples: int = 64) -> list[dict]:
-    """Checks for every protocol in the schedule, in segment order."""
+    """Checks for every protocol in the schedule, in segment order.  ``samples``
+    is the per-segment grid of the meridian rotations' phase trace."""
     checks: list[dict] = []
     segments = schedule.segments
     i = 0
     while i < len(segments):
         chunk = segments[i:i + 3]
         if isinstance(chunk[0], CouplingSegment):
-            checks.extend(_verify_coupling_segment(chunk[0], i, tol, samples))
+            checks.extend(_verify_coupling_segment(chunk[0], i, tol))
             i += 1
         elif len(chunk) == 3 and all(isinstance(s, FieldSegment) for s in chunk):
             checks.extend(_verify_field_chunk(tuple(chunk), i, tol, samples))

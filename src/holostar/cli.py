@@ -21,7 +21,7 @@ from . import certify
 from . import serialization as ser
 from . import single_qubit_holonomy as sq
 from . import two_qubit_holonomy as tq
-from .config import Tolerances, tolerances_from_env
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .pulse import PulseSchedule
 from .qcore import ket
 from .single_qubit_holonomy import RotationTarget
@@ -44,7 +44,7 @@ class _UsageError(Exception):
 
 
 def _resolve_tolerances(pairs: list[str]) -> Tolerances:
-    """The environment's tolerances with the ``--tol NAME=VALUE`` overrides applied."""
+    """The default tolerances with the ``--tol NAME=VALUE`` overrides applied."""
     overrides = {}
     for p in pairs:
         name, sep, value = p.partition("=")
@@ -54,9 +54,8 @@ def _resolve_tolerances(pairs: list[str]) -> Tolerances:
             overrides[name] = float(value)
         except ValueError:
             raise _UsageError(f"--tol {name}: {value!r} is not a number") from None
-    tol = tolerances_from_env()
     try:
-        return tol.with_overrides(overrides) if overrides else tol
+        return DEFAULT_TOLERANCES.with_overrides(overrides) if overrides else DEFAULT_TOLERANCES
     except ValueError as e:
         raise _UsageError(f"--tol: {e}") from None
 

@@ -2,8 +2,8 @@
 
 Every threshold a ``verify`` check compares against lives in one frozen
 record so the defaults are auditable in a single place.  Library code always
-uses :data:`DEFAULT_TOLERANCES`; the CLI may scale or override a copy for
-exploratory runs.  The construction invariants of :mod:`holostar.qcore`
+uses :data:`DEFAULT_TOLERANCES`; the CLI may override a copy for exploratory
+runs.  The construction invariants of :mod:`holostar.qcore`
 (Hermitian, unitary, normalized) are fixed constants there, not settings.
 """
 
@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
-
-TOLERANCE_SCALE_ENV = "HOLOSTAR_TOLERANCE_SCALE"
 
 
 @dataclass(frozen=True)
@@ -31,13 +28,6 @@ class Tolerances:
     aux_restoration: float = 1e-10
     compiler_fidelity: float = 1e-9
 
-    def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every threshold multiplied by ``factor`` (finite, >= 1)."""
-        if not (math.isfinite(factor) and factor >= 1.0):
-            raise ValueError(f"tolerance scale must be finite and >= 1, got {factor}")
-        fields = {f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
-        return Tolerances(**fields)
-
     def with_overrides(self, overrides: dict[str, float]) -> "Tolerances":
         """Return a copy with named thresholds replaced; unknown names and
         non-finite or negative values raise."""
@@ -53,13 +43,3 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-
-def tolerances_from_env() -> Tolerances:
-    """Default tolerances scaled by the ``HOLOSTAR_TOLERANCE_SCALE`` variable."""
-    raw = os.environ.get(TOLERANCE_SCALE_ENV, "")
-    if not raw:
-        return DEFAULT_TOLERANCES
-    try:
-        return DEFAULT_TOLERANCES.scaled(float(raw))
-    except ValueError as exc:
-        raise ValueError(f"{TOLERANCE_SCALE_ENV}={raw!r}: {exc}") from None

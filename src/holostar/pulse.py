@@ -52,13 +52,19 @@ class Envelope:
             raise ValueError(f"envelope duration {self.duration} is too short for area "
                              f"{self.area}: the peak amplitude overflows")
 
+    @property
+    def peak(self) -> float:
+        """The largest amplitude, held throughout a constant envelope and
+        reached at t = duration/2 by sin_squared (twice the mean amplitude)."""
+        return (1.0 if self.shape == "constant" else 2.0) * self.area / self.duration
+
     def amplitude(self, t: float) -> float:
         """Instantaneous amplitude at time t in [0, duration]."""
         if not 0 <= t <= self.duration:
             raise ValueError(f"time {t} outside [0, {self.duration}]")
         if self.shape == "constant":
-            return self.area / self.duration
-        return (2.0 * self.area / self.duration) * math.sin(math.pi * t / self.duration) ** 2
+            return self.peak
+        return self.peak * math.sin(math.pi * t / self.duration) ** 2
 
     def sampled(self, samples: int) -> list[tuple[float, float]]:
         """``samples`` evenly spaced ``(t, amplitude(t))`` pairs, ends included.
@@ -71,10 +77,9 @@ class Envelope:
             raise ValueError(f"need at least 2 samples, got {samples}")
         d = self.duration
         times = [d * (j / (samples - 1)) for j in range(samples)]
+        peak = self.peak
         if self.shape == "constant":
-            a = self.area / d
-            return [(t, a) for t in times]
-        peak = 2.0 * self.area / d
+            return [(t, peak) for t in times]
         return [(t, peak * math.sin(math.pi * t / d) ** 2) for t in times]
 
     def partial_area(self, t: float) -> float:
@@ -103,6 +108,16 @@ class FieldSegment:
         object.__setattr__(self, "beta", self.beta % math.tau)
 
 
+def _coupling_pair(pair, mix_theta: float) -> tuple[int, int]:
+    """The validity rule of every coupling record: ``pair`` as two ints."""
+    k, l = pair
+    if k == l or k < 0 or l < 0:
+        raise ValueError(f"coupling pair must be two distinct qubits, got {pair}")
+    if not 0 <= mix_theta <= math.pi:
+        raise ValueError(f"mixing angle must lie in [0, pi], got {mix_theta}")
+    return int(k), int(l)
+
+
 @dataclass(frozen=True)
 class CouplingSegment:
     """Couple two register qubits to the auxiliary with mixing angle ``mix_theta``.
@@ -116,12 +131,7 @@ class CouplingSegment:
     envelope: Envelope
 
     def __post_init__(self):
-        k, l = self.pair
-        if k == l or k < 0 or l < 0:
-            raise ValueError(f"coupling pair must be two distinct qubits, got {self.pair}")
-        if not 0 <= self.mix_theta <= math.pi:
-            raise ValueError(f"mixing angle must lie in [0, pi], got {self.mix_theta}")
-        object.__setattr__(self, "pair", (int(k), int(l)))
+        object.__setattr__(self, "pair", _coupling_pair(self.pair, self.mix_theta))
 
 
 Segment = FieldSegment | CouplingSegment

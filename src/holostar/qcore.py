@@ -121,7 +121,7 @@ class StateVector:
     def __post_init__(self):
         a = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1:
-            a = a.reshape(-1)
+            raise ValueError(f"amplitudes must be a 1-D vector, got shape {a.shape}")
         n = (a.size - 1).bit_length()
         if a.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two, got {a.size}")

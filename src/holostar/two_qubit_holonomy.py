@@ -18,8 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES as _TOL
-from .pulse import CouplingSegment, Envelope, _propagator, coupling_hamiltonian, segment_unitary
+from .pulse import (CouplingSegment, Envelope, _coupling_pair, _propagator, _unit_hamiltonian,
+                    coupling_hamiltonian, segment_unitary)
 from .qcore import (
     Operator,
     Projector,
@@ -43,6 +43,7 @@ __all__ = [
     "ideal_block",
     "entangling_power",
     "entangling_power_law",
+    "transport_norm",
     "transport_residuals",
     "verify_parallel_transport",
     "holonomy_decompose",
@@ -74,12 +75,7 @@ class CouplingGateSpec:
     pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
-        if not 0 <= self.mix_theta <= math.pi:
-            raise ValueError(f"mixing angle must lie in [0, pi], got {self.mix_theta}")
-        k, l = self.pair
-        if k == l or k < 0 or l < 0:
-            raise ValueError(f"pair must be two distinct register indices, got {self.pair}")
-        object.__setattr__(self, "pair", (int(k), int(l)))
+        object.__setattr__(self, "pair", _coupling_pair(self.pair, self.mix_theta))
 
     def segment(self, shape: str = "constant") -> CouplingSegment:
         """The area-2pi coupling segment (half the Omega area equals pi)."""
@@ -208,25 +204,30 @@ def entangling_power_law(mix_theta: float) -> float:
     return (2.0 / 9.0) * (1.0 - math.cos(mix_theta) ** 4)
 
 
-_PROJECTORS = {name: Projector.onto_indices(8, idx).matrix
-               for name, idx in PROJECTOR_INDEX_SETS.items()}
-# The same six projectors as one (6, 8, 8) stack, for a single batched SVD.
-_PROJECTOR_STACK = np.array(list(_PROJECTORS.values()))
+# The six invariant-subspace projectors as one (6, 8, 8) stack.
+_PROJECTOR_STACK = np.array([Projector.onto_indices(8, idx).matrix
+                             for idx in PROJECTOR_INDEX_SETS.values()])
 _PROJECTOR_STACK.setflags(write=False)
+
+
+def transport_norm(h_unit: np.ndarray) -> float:
+    """max_P ||P H_unit P||_2 over the six projectors, from one batched SVD.
+
+    U(t) = exp(-i A(t) H_unit) commutes with H(t) = a(t) H_unit, so the transport
+    residual at t is a(t) times this norm, and the envelope's peak times it at most.
+    """
+    stack = _PROJECTOR_STACK @ h_unit @ _PROJECTOR_STACK
+    return float(np.linalg.svd(stack, compute_uv=False).max())
 
 
 def transport_residuals(h_unit: np.ndarray, env: Envelope, samples: int) -> tuple[float, ...]:
     """max_P ||U P U^dag H(t) U P U^dag||_2 over the six invariant-subspace
     projectors at the times of ``env.sampled(samples)``, the one sample grid
-    of the package (:meth:`Envelope.sampled`).
-
-    U = exp(-i A(t) H_unit) commutes with H(t) = a(t) H_unit, so the operator
-    is a(t) U (P H_unit P) U^dag and its norm a(t) ||P H_unit P||_2: six
-    spectral norms, from one batched SVD, however many times are sampled.
+    of the package (:meth:`Envelope.sampled`): a(t) times
+    :func:`transport_norm`, however many times are sampled.
     """
-    stack = _PROJECTOR_STACK @ h_unit @ _PROJECTOR_STACK
-    static = float(np.linalg.svd(stack, compute_uv=False).max())
-    return tuple(a * static for _, a in env.sampled(samples))
+    norm = transport_norm(h_unit)
+    return tuple(a * norm for _, a in env.sampled(samples))
 
 
 def verify_parallel_transport(spec: CouplingGateSpec, samples: int = 64,
@@ -243,13 +244,13 @@ def verify_parallel_transport(spec: CouplingGateSpec, samples: int = 64,
     (:func:`transport_residuals`).  ``commutator_residual`` checks that
     commutation on the closed-form partial-area propagators.
     """
-    env = spec.segment(shape).envelope
-    h_unit = coupling_hamiltonian(math.cos(spec.mix_theta / 2), math.sin(spec.mix_theta / 2))
-    residuals = transport_residuals(h_unit, env, samples)
-    static = max(float(np.max(np.abs(p @ h_unit @ p))) for p in _PROJECTORS.values())
+    seg = spec.segment(shape)
+    h_unit = _unit_hamiltonian(seg)
+    residuals = transport_residuals(h_unit, seg.envelope, samples)
+    static = float(np.abs(_PROJECTOR_STACK @ h_unit @ _PROJECTOR_STACK).max())
     commutator = 0.0
-    for t, a in env.sampled(samples):
-        u_t = _propagator(h_unit, env.partial_area(t))
+    for t, a in seg.envelope.sampled(samples):
+        u_t = _propagator(h_unit, seg.envelope.partial_area(t))
         h_t = a * h_unit
         commutator = max(commutator, float(np.max(np.abs(h_t @ u_t - u_t @ h_t))))
 
@@ -270,12 +271,9 @@ def holonomy_decompose(dec: BlockDecomposition) -> SubHolonomies:
     In the aux=0 block the corners |000> and |101> carry 1x1 holonomies (the
     trivial one and the loop phase -1) around the 2x2 bright-pair holonomy on
     {|001>, |100>}; the aux=1 block mirrors this.  The direct sum of the
-    extracted pieces must rebuild the blocks they came from.
+    extracted pieces must rebuild the blocks they came from.  Leakage between
+    the blocks is not judged here: ``dec.off_block_residual`` reports it.
     """
-    if dec.off_block_residual > _TOL.transport_residual:
-        raise ValueError(
-            f"off-block leakage {dec.off_block_residual:.3e} too large to decompose"
-        )
     u0, u1 = dec.u0.matrix, dec.u1.matrix
     blocks = {
         "C_0^1": u0[3:4, 3:4].copy(),
@@ -283,14 +281,12 @@ def holonomy_decompose(dec: BlockDecomposition) -> SubHolonomies:
         "C_1^1": u1[0:1, 0:1].copy(),
         "C_1^2": u1[1:3, 1:3].copy(),
     }
-    rebuilt0 = np.zeros((4, 4), dtype=np.complex128)
-    rebuilt0[0, 0] = 1.0
-    rebuilt0[1:3, 1:3] = blocks["C_0^2"]
-    rebuilt0[3:4, 3:4] = blocks["C_0^1"]
-    rebuilt1 = np.zeros((4, 4), dtype=np.complex128)
-    rebuilt1[0:1, 0:1] = blocks["C_1^1"]
-    rebuilt1[1:3, 1:3] = blocks["C_1^2"]
-    rebuilt1[3, 3] = 1.0
-    residual = max(float(np.max(np.abs(rebuilt0 - u0))),
-                   float(np.max(np.abs(rebuilt1 - u1))))
+    # What the direct sum leaves unexplained: each block with its extracted
+    # pieces zeroed and the trivial corner's 1 subtracted.
+    rest0, rest1 = u0.copy(), u1.copy()
+    rest0[1:3, 1:3] = rest0[3, 3] = 0.0
+    rest1[0, 0] = rest1[1:3, 1:3] = 0.0
+    rest0[0, 0] -= 1.0
+    rest1[3, 3] -= 1.0
+    residual = max(float(np.max(np.abs(rest0))), float(np.max(np.abs(rest1))))
     return SubHolonomies(blocks=blocks, reconstruction_residual=residual)

@@ -76,10 +76,12 @@ def test_compile_structure():
 
 def test_compile_rejects_out_of_range_gates():
     arch = StarArchitecture(2)
-    with pytest.raises(ValueError):
-        compile_circuit(Circuit((rot(2, 1.0, 0.0, 0.0),)), arch)
-    with pytest.raises(ValueError):
-        compile_circuit(Circuit((EntanglingGate((0, 3), 1.0),)), arch)
+    # and so does the gate-matrix reference
+    for lower in (compile_circuit, ideal_unitary):
+        with pytest.raises(ValueError):
+            lower(Circuit((rot(2, 1.0, 0.0, 0.0),)), arch)
+        with pytest.raises(ValueError):
+            lower(Circuit((EntanglingGate((0, 3), 1.0),)), arch)
 
 
 def test_simulate_empty_circuit(rng):

@@ -19,11 +19,6 @@ from holostar.config import Tolerances
 PI = math.pi
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("HOLOSTAR_TOLERANCE_SCALE", raising=False)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -178,22 +173,41 @@ def test_verify_half_area_coupling_fails(capsys, tmp_path):
     assert check["value"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
-def write_coupling_schedule(tmp_path, duration=1.0):
+def write_coupling_schedule(tmp_path, duration=1.0, area=2 * PI):
     path = tmp_path / "coupling.json"
     path.write_text(json.dumps({"n_register": 2, "segments": [
         {"kind": "coupling", "pair": [0, 1], "mix_theta": 1.0,
-         "shape": "constant", "duration": duration, "area": 2 * PI},
+         "shape": "constant", "duration": duration, "area": area},
     ]}))
     return str(path)
 
 
 def test_verify_coupling_grid_ends_on_duration(capsys, tmp_path):
     # duration * j / (samples - 1) overshoots this duration by one ulp at the
-    # last sample; the grid must end exactly on it.
+    # last sample; a sample grid must end exactly on it.
     doc = run_json(capsys, "verify", write_coupling_schedule(tmp_path, 0.8667828438243994))
     assert doc["passed"] is True
     names = [c["name"] for c in doc["checks"]]
     assert names == ["off_block_residual", "transport_residual", "holonomy_reconstruction"]
+
+
+def test_leakage_is_judged_by_the_off_block_tolerance_alone(capsys, tmp_path):
+    # 2e-8 past the full area leaves 8.8e-9 of leakage between the blocks:
+    # too much for the default off_block threshold, and certifiable once
+    # --tol loosens it (no other threshold may refuse the decomposition)
+    path = write_coupling_schedule(tmp_path, area=2 * PI + 2e-8)
+    code, out, err = run(capsys, "verify", path)
+    assert code == 1, err
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "off_block_residual" and not check["pass"]
+    assert check["value"] == pytest.approx(8.7758e-9, rel=1e-4)
+
+    code, out, err = run(capsys, "verify", path, "--tol", "off_block=1e-7")
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "off_block_residual", "transport_residual", "holonomy_reconstruction"]
+    assert all(c["pass"] for c in checks)
 
 
 @pytest.mark.parametrize("samples", ["0", "1"])
@@ -363,31 +377,6 @@ def test_every_tolerance_reaches_a_check(capsys, name):
         reported |= {c["name"] for c in json.loads(out)["checks"]
                      if c["tolerance"] == sentinel}
     assert reported, f"no check reports the {name} tolerance"
-
-
-def test_env_scale_is_applied(capsys, tmp_path, monkeypatch):
-    out_path = str(tmp_path / "sched.json")
-    main(["synth1q", "--theta", "0.7", "--dphi", "0.3", "--out", out_path])
-    capsys.readouterr()
-    monkeypatch.setenv("HOLOSTAR_TOLERANCE_SCALE", "100")
-    doc = run_json(capsys, "verify", out_path)
-    (check,) = [c for c in doc["checks"] if c["name"] == "synthesis_distance"]
-    assert check["tolerance"] == pytest.approx(1e-7)
-
-
-def test_env_scale_below_one_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("HOLOSTAR_TOLERANCE_SCALE", "0.5")
-    code, out, err = run(capsys, "verify", "--random-circuits", "1")
-    assert code == 2
-    monkeypatch.setenv("HOLOSTAR_TOLERANCE_SCALE", "abc")
-    code, out, err = run(capsys, "verify", "--random-circuits", "1")
-    assert code == 2
-    # a non-finite scale is refused before any check runs
-    for value in ("nan", "inf"):
-        monkeypatch.setenv("HOLOSTAR_TOLERANCE_SCALE", value)
-        code, out, err = run(capsys, "verify", "--random-circuits", "1")
-        assert_one_line_usage_error(code, out, err)
-        assert "HOLOSTAR_TOLERANCE_SCALE" in err
 
 
 def test_out_writes_file_not_stdout(capsys, tmp_path):

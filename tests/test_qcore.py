@@ -63,9 +63,9 @@ def test_wrapper_copies_a_view_of_writable_memory():
     op = Operator(a.reshape(2, 2), unitary=True)
     a[0, 0] = 5
     assert op.matrix[0, 0] == 1
-    b = np.array([[1, 0]], dtype=complex)
-    psi = StateVector(b)
-    b[0, 0] = 7
+    b = np.array([1, 0, 0], dtype=complex)
+    psi = StateVector(b[:2])
+    b[0] = 7
     assert psi.amplitudes[0] == 1
     buf = bytearray(np.array([1, 0], dtype=complex).tobytes())
     psi = StateVector(np.frombuffer(buf, dtype=complex))
@@ -154,6 +154,11 @@ def test_statevector_validation():
     with pytest.raises(ValueError, match="power of two"):
         StateVector(np.array([1.0, 0.0, 0.0]))
     assert StateVector(np.array([1.0, 0.0])).n_qubits == 1
+    # a matrix, a column or a row is not flattened into a larger register
+    for amps in (np.eye(2) / math.sqrt(2), np.array([[1.0], [0], [0], [0]]),
+                 np.array([[1.0, 0.0]])):
+        with pytest.raises(ValueError, match="1-D"):
+            StateVector(amps)
 
 
 def test_basis_state_and_ket():
