@@ -22,17 +22,14 @@ from .pulse import (
     PulseSchedule,
     evolve,
     expectation_trace,
-    segment_hamiltonian,
     segment_unitary,
 )
 from .qcore import (
     Operator,
-    Projector,
     StateVector,
     basis_state,
     ket,
     partial_trace,
-    pauli,
     phase_invariant_distance,
     tensor,
     wrap_phase,
@@ -73,7 +70,6 @@ __all__ = [
     "HolonomyReport",
     "Operator",
     "PostSelectionError",
-    "Projector",
     "PulseSchedule",
     "RotationGate",
     "RotationTarget",
@@ -93,10 +89,8 @@ __all__ = [
     "ideal_unitary",
     "ket",
     "partial_trace",
-    "pauli",
     "phase_invariant_distance",
     "random_circuit",
-    "segment_hamiltonian",
     "segment_unitary",
     "simulate",
     "synthesize",

@@ -64,10 +64,6 @@ class StarArchitecture:
         if self.auxiliary_state not in (0, 1):
             raise ValueError(f"auxiliary basis state must be 0 or 1, got {self.auxiliary_state}")
 
-    @property
-    def n_total(self) -> int:
-        return self.n_register + 1
-
 
 @dataclass(frozen=True)
 class RotationGate:

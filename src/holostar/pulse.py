@@ -24,7 +24,6 @@ __all__ = [
     "CouplingSegment",
     "PulseSchedule",
     "coupling_hamiltonian",
-    "segment_hamiltonian",
     "segment_unitary",
     "evolve",
     "expectation_trace",
@@ -58,20 +57,12 @@ class Envelope:
         reached at t = duration/2 by sin_squared (twice the mean amplitude)."""
         return (1.0 if self.shape == "constant" else 2.0) * self.area / self.duration
 
-    def amplitude(self, t: float) -> float:
-        """Instantaneous amplitude at time t in [0, duration]."""
-        if not 0 <= t <= self.duration:
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
-        if self.shape == "constant":
-            return self.peak
-        return self.peak * math.sin(math.pi * t / self.duration) ** 2
-
     def sampled(self, samples: int) -> list[tuple[float, float]]:
-        """``samples`` evenly spaced ``(t, amplitude(t))`` pairs, ends included.
+        """``samples`` evenly spaced ``(t, a(t))`` pairs, ends included.
 
         Sample j sits at ``duration * (j / (samples - 1))``, so the last one is
-        exactly ``duration``, and each amplitude is the float :meth:`amplitude`
-        returns there, without its per-call range check.
+        exactly ``duration``.  The amplitude a(t) is :attr:`peak` throughout a
+        constant envelope and ``peak * sin(pi t / duration)**2`` for sin_squared.
         """
         if samples < 2:
             raise ValueError(f"need at least 2 samples, got {samples}")
@@ -81,15 +72,6 @@ class Envelope:
         if self.shape == "constant":
             return [(t, peak) for t in times]
         return [(t, peak * math.sin(math.pi * t / d) ** 2) for t in times]
-
-    def partial_area(self, t: float) -> float:
-        """Integral of the amplitude from 0 to t."""
-        if not 0 <= t <= self.duration:
-            raise ValueError(f"time {t} outside [0, {self.duration}]")
-        x = t / self.duration
-        if self.shape == "constant":
-            return self.area * x
-        return self.area * (x - math.sin(2.0 * math.pi * x) / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -158,28 +140,6 @@ class PulseSchedule:
             else:
                 raise TypeError(f"unknown segment type {type(seg).__name__}")
 
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.envelope.duration for seg in self.segments)
-
-    def inverted(self) -> "PulseSchedule":
-        """Schedule realizing the inverse evolution, segment by segment.
-
-        A field segment is inverted by advancing its drive phase by pi at the
-        same area.  A coupling segment's propagator has eigenphases that are
-        multiples of half the area, so running the complementary area
-        (4*pi - a) mod 4*pi completes the period.
-        """
-        inv = []
-        for seg in reversed(self.segments):
-            if isinstance(seg, FieldSegment):
-                inv.append(FieldSegment(seg.qubit, seg.beta + math.pi, seg.envelope))
-            else:
-                e = seg.envelope
-                area = (2 * math.tau - e.area) % (2 * math.tau)
-                inv.append(CouplingSegment(seg.pair, seg.mix_theta, Envelope(area, e.shape, e.duration)))
-        return PulseSchedule(tuple(inv), self.n_register)
-
 
 _SX, _SY = 0.5 * _PAULI["x"], 0.5 * _PAULI["y"]
 _EYE2 = np.eye(2, dtype=np.complex128)
@@ -215,13 +175,6 @@ def _propagator(h_unit: np.ndarray, area: float) -> np.ndarray:
     g = 2.0 * h_unit
     return (_EYE[g.shape[0]] + (math.cos(area / 2.0) - 1.0) * (g @ g)
             - 1j * math.sin(area / 2.0) * g)
-
-
-def segment_hamiltonian(seg: Segment, amplitude: float) -> Operator:
-    """Instantaneous Hamiltonian of a segment at the given envelope amplitude."""
-    if amplitude < 0:
-        raise ValueError(f"amplitude must be nonnegative, got {amplitude}")
-    return Operator(amplitude * _unit_hamiltonian(seg), hermitian=True)
 
 
 def segment_unitary(seg: Segment) -> Operator:

@@ -5,9 +5,9 @@ arrays.  Role flags (``hermitian`` / ``unitary``) are verified at construction
 time, so a flagged operator can be trusted downstream without re-checking.
 
 Every check is written so that a NaN deviation fails it: a state vector, a
-flagged operator, a projector or the density operator handed to
-``partial_trace`` holding a NaN or infinite entry is refused.  (An operator
-without role flags is not checked, so it may hold any value.)
+flagged operator or the density operator handed to ``partial_trace``
+holding a NaN or infinite entry is refused.  (An operator without role
+flags is not checked, so it may hold any value.)
 
 A wrapper's array cannot be changed through a reference the caller keeps.
 An array the wrapper is handed whole becomes its own and is frozen in place,
@@ -32,9 +32,6 @@ import numpy as np
 __all__ = [
     "Operator",
     "StateVector",
-    "Projector",
-    "pauli",
-    "identity",
     "basis_state",
     "ket",
     "tensor",
@@ -52,7 +49,6 @@ __all__ = [
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 STATE_NORM_TOL = 1e-12
-PROJECTOR_TOL = 1e-12
 DENSITY_TOL = 1e-12
 
 
@@ -103,14 +99,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return Operator(self.matrix @ other.matrix, unitary=self.unitary and other.unitary)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype or np.complex128)
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -119,7 +107,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        # asarray, unlike ascontiguousarray, keeps a 0-D input 0-D for the check below
+        a = np.asarray(self.amplitudes, dtype=np.complex128, order="C")
         if a.ndim != 1:
             raise ValueError(f"amplitudes must be a 1-D vector, got shape {a.shape}")
         n = (a.size - 1).bit_length()
@@ -139,53 +128,11 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """An idempotent Hermitian operator selecting a subspace."""
-
-    op: Operator
-
-    def __post_init__(self):
-        m = self.op.matrix
-        dev = np.abs(m @ m - m).max()
-        if not dev <= PROJECTOR_TOL:
-            raise ValueError(f"projector is not idempotent, residual {dev:.3e}")
-        if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
-            raise ValueError("projector is not Hermitian")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @classmethod
-    def onto_indices(cls, dim: int, indices: Iterable[int]) -> "Projector":
-        """Projector onto the span of the given computational basis indices."""
-        d = np.zeros(dim)
-        for i in indices:
-            if not 0 <= i < dim:
-                raise ValueError(f"basis index {i} out of range for dimension {dim}")
-            d[i] = 1.0
-        return cls(Operator(np.diag(d).astype(np.complex128), hermitian=True))
-
-
 _PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-
-def pauli(axis: str) -> Operator:
-    """Return the 2x2 Pauli matrix for axis ``"x"``, ``"y"`` or ``"z"``."""
-    try:
-        m = _PAULI[axis]
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}") from None
-    return Operator(m, hermitian=True, unitary=True)
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=np.complex128), hermitian=True, unitary=True)
 
 
 def basis_state(n_qubits: int, index: int) -> StateVector:

@@ -26,7 +26,6 @@ __all__ = [
     "target_unitary",
     "verify_synthesis",
     "geometric_phase",
-    "drive_condition_deviation",
 ]
 
 
@@ -154,12 +153,3 @@ def geometric_phase(target: RotationTarget, state: StateVector | None = None,
         max_integrand=float(np.max(np.abs(values))),
         cyclicity_deviation=abs(1.0 - abs(overlap)),
     )
-
-
-def drive_condition_deviation(phi: float, beta: float) -> float:
-    """How far phi - beta is from an odd multiple of pi/2.
-
-    Zero exactly when the drive is a quarter turn off the state azimuth, the
-    condition that kills the dynamical phase on a meridian leg.
-    """
-    return abs(wrap_phase(2.0 * (phi - beta) - math.pi)) / 2.0

@@ -24,6 +24,22 @@ def su2(area, beta):
     return math.cos(area / 2) * I2 - 1j * math.sin(area / 2) * n_sigma
 
 
+def envelope_amplitude(env, t):
+    """a(t) of a constant or sin^2 envelope, written from the two shape
+    formulas: area/duration throughout, or twice that times sin^2(pi t/duration)."""
+    if env.shape == "constant":
+        return env.area / env.duration
+    return 2.0 * env.area / env.duration * math.sin(math.pi * t / env.duration) ** 2
+
+
+def envelope_partial_area(env, t):
+    """The integral of :func:`envelope_amplitude` from 0 to t."""
+    x = t / env.duration
+    if env.shape == "constant":
+        return env.area * x
+    return env.area * (x - math.sin(2.0 * math.pi * x) / (2.0 * math.pi))
+
+
 def matrix_exponential_hermitian(h, t):
     """exp(-i t H) for Hermitian-flagged H by eigendecomposition: the spectral
     oracle the closed-form propagators are checked against."""

@@ -40,12 +40,12 @@ def bell_circuit():
 
 
 def test_architecture_validation():
-    assert StarArchitecture(3).n_total == 4
+    assert StarArchitecture(3).n_register == 3
     with pytest.raises(ValueError):
         StarArchitecture(0)
     with pytest.raises(ValueError):
         StarArchitecture(2, auxiliary_state=2)
-    assert StarArchitecture(MAX_REGISTER).n_total == MAX_REGISTER + 1
+    assert StarArchitecture(MAX_REGISTER).n_register == MAX_REGISTER
     with pytest.raises(ValueError, match="1 to 20 qubits"):
         StarArchitecture(MAX_REGISTER + 1)
 

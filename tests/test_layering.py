@@ -1,9 +1,13 @@
-"""Which modules may read the certification thresholds.
+"""What the package's modules may import, and what they may export.
 
 Only ``certify`` (which compares against them), ``cli`` (which applies
 ``--tol``) and the package ``__init__`` (which exports them) import
 ``holostar.config``.  Library code that judged a threshold of its own would
 be a second owner of it, out of ``--tol``'s reach.
+
+Every public name is used as code by the package, the acceptance suite or the
+benchmark.  A name that only its own unit test calls is surface to maintain
+with no command, criterion or benchmark behind it.
 """
 
 import ast
@@ -13,6 +17,10 @@ import holostar
 
 PACKAGE = pathlib.Path(holostar.__file__).parent
 CONFIG_READERS = {"certify", "cli", "__init__"}
+REPO = pathlib.Path(__file__).resolve().parent.parent
+# Public names that need no user: the documented circuit format, which the
+# serialization round-trip tests pin the parser against.
+UNUSED_EXPORTS = {("serialization", "circuit_to_dict")}
 
 
 def _imported_modules(path: pathlib.Path) -> set[str]:
@@ -36,3 +44,41 @@ def test_only_certify_and_cli_read_the_thresholds():
     readers = {name for name, imported in modules.items() if "holostar.config" in imported}
     assert readers <= CONFIG_READERS, f"{sorted(readers - CONFIG_READERS)} import holostar.config"
     assert {"certify", "cli"} <= readers
+
+
+def _loaded_names(node: ast.AST) -> set[str]:
+    """Every name and attribute name the code under ``node`` reads."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names.add(n.attr)
+    return names
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [e.value for e in node.value.elts]
+    return []
+
+
+def test_every_export_has_a_user():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    outside = [REPO / "tests" / "test_acceptance.py", *sorted((REPO / "perfbench").glob("*.py"))]
+    assert len(outside) > 1 and all(p.is_file() for p in outside)
+    used_outside = set().union(*(_loaded_names(ast.parse(p.read_text(encoding="utf-8")))
+                                 for p in outside))
+    unused = set()
+    for stem, tree in trees.items():
+        used = used_outside.union(*(_loaded_names(t) for s, t in trees.items() if s != stem))
+        for name in _exports(tree):
+            # the module's own code counts, outside the definition of the name itself
+            own = set().union(*(_loaded_names(node) for node in tree.body
+                                if getattr(node, "name", None) != name))
+            if name not in used | own:
+                unused.add((stem, name))
+    assert unused == UNUSED_EXPORTS, f"exported with no user: {sorted(unused - UNUSED_EXPORTS)}"

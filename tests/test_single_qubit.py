@@ -10,7 +10,6 @@ from holostar.qcore import phase_invariant_distance, wrap_phase
 from holostar.single_qubit_holonomy import (
     GeometricPhaseReport,
     RotationTarget,
-    drive_condition_deviation,
     geometric_phase,
     synthesize,
     target_unitary,
@@ -194,13 +193,6 @@ def test_euler_composition():
     want = target_unitary(rz_a).matrix @ target_unitary(rx_b).matrix \
         @ target_unitary(rz_c).matrix
     assert phase_invariant_distance(composed, want) < 1e-9
-
-
-def test_drive_condition_deviation():
-    assert drive_condition_deviation(0.0, -math.pi / 2) < 1e-15
-    assert drive_condition_deviation(1.3, 1.3 + math.pi / 2) < 1e-15
-    assert drive_condition_deviation(1.3, 1.3 + 3 * math.pi / 2) < 1e-12
-    assert abs(drive_condition_deviation(0.7, 0.7) - math.pi / 2) < 1e-12
 
 
 def test_schedule_is_always_three_field_segments():
