@@ -7,7 +7,9 @@ time, so a flagged operator can be trusted downstream without re-checking.
 Every check is written so that a NaN deviation fails it: a state vector, a
 flagged operator or the density operator handed to ``partial_trace``
 holding a NaN or infinite entry is refused.  (An operator without role
-flags is not checked, so it may hold any value.)
+flags is not checked, so it may hold any value.)  Under ``python -W error``
+the RuntimeWarning numpy raises on inf input or overflow fails the check too,
+so the caller gets the same ValueError either way.
 
 A wrapper's array cannot be changed through a reference the caller keeps.
 An array the wrapper is handed whole becomes its own and is frozen in place,
@@ -84,13 +86,19 @@ class Operator:
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         if self.hermitian:
-            dev = np.abs(m - m.conj().T).max()
+            try:
+                dev = np.abs(m - m.conj().T).max()
+            except RuntimeWarning:  # inf - inf under -W error
+                dev = math.nan
             if not dev <= HERMITIAN_TOL:
                 raise ValueError(f"operator flagged Hermitian deviates by {dev:.3e}")
         if self.unitary:
             d = m.shape[0]
             eye = _EYE[d] if d in _EYE else np.eye(d, dtype=np.complex128)
-            dev = np.abs(m.conj().T @ m - eye).max()
+            try:
+                dev = np.abs(m.conj().T @ m - eye).max()
+            except RuntimeWarning:  # inf * 0, or overflow, under -W error
+                dev = math.nan
             if not dev <= UNITARY_TOL:
                 raise ValueError(f"operator flagged unitary deviates by {dev:.3e}")
         object.__setattr__(self, "matrix", _frozen(m))
@@ -115,7 +123,10 @@ class StateVector:
         if a.size != 1 << n:
             raise ValueError(f"amplitude count must be a power of two, got {a.size}")
         # the sum numpy.linalg.norm forms for a complex vector, without its dispatch
-        nrm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+        try:
+            nrm = math.sqrt(a.real.dot(a.real) + a.imag.dot(a.imag))
+        except RuntimeWarning:  # overflow under -W error
+            nrm = math.inf
         if not abs(nrm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm deviates from 1 by {abs(nrm - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _frozen(a))
@@ -171,9 +182,11 @@ def density(psi: StateVector) -> Operator:
     return Operator(a[:, None] * a.conj(), hermitian=True)
 
 
-def purity(rho) -> float:
+def purity(rho) -> float | np.ndarray:
+    """tr(rho^2) as a float, or as an array for a stack of matrices."""
     m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho)
-    return float((m @ m).trace().real)
+    p = (m @ m).trace(axis1=-2, axis2=-1).real
+    return float(p) if p.ndim == 0 else p
 
 
 def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator:
@@ -185,7 +198,11 @@ def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator
     keep = sorted(set(keep))
     if keep and not (0 <= keep[0] and keep[-1] < n_qubits):
         raise ValueError(f"kept qubit indices {keep} out of range for {n_qubits} qubits")
-    if not np.abs(m - m.conj().T).max() <= HERMITIAN_TOL:
+    try:
+        dev = np.abs(m - m.conj().T).max()
+    except RuntimeWarning:  # inf - inf under -W error
+        dev = math.nan
+    if not dev <= HERMITIAN_TOL:
         raise ValueError("partial_trace requires a Hermitian density operator")
     tr = m.trace()
     if not (abs(tr.real - 1.0) <= DENSITY_TOL and abs(tr.imag) <= DENSITY_TOL):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .pulse import (CouplingSegment, Envelope, _coupling_pair, _unit_hamiltonian,
                     coupling_hamiltonian, segment_unitary)
-from .qcore import Operator, StateVector, density, partial_trace, permute_basis, purity
+from .qcore import Operator, partial_trace, permute_basis, purity
 
 __all__ = [
     "AUX_BLOCK_ORDER",
@@ -175,16 +175,18 @@ def entangling_power(u: Operator) -> float:
     """Mean linear entropy a two-qubit gate generates from product inputs.
 
     Averages E = 1 - tr(rho_A^2) over the 36 products of Pauli eigenstates,
-    which equals the Haar product-state average exactly.
+    which equals the Haar product-state average exactly.  Each output state is
+    checked once, by ``partial_trace`` (Hermitian, unit-trace density).
     """
     if not u.unitary or u.dim != 4:
         raise ValueError("entangling power requires a unitary-flagged 4x4 operator")
     m = u.matrix
+    phi = np.array([m @ ab for ab in _PRODUCT_INPUTS])
+    rho = phi[:, :, None] * phi[:, None, :].conj()
+    rho_a = np.array([partial_trace(Operator(r), keep=(0,), n_qubits=2).matrix for r in rho])
     total = 0.0
-    for ab in _PRODUCT_INPUTS:
-        phi = StateVector(m @ ab)
-        rho_a = partial_trace(density(phi), keep=(0,), n_qubits=2)
-        total += 1.0 - purity(rho_a)
+    for p in purity(rho_a).tolist():
+        total += 1.0 - p
     return total / 36.0
 
 

@@ -88,19 +88,17 @@ def test_wrapper_takes_over_an_owned_array_without_a_copy():
         a[0, 0] = 5
 
 
+# numpy warns on inf - inf, inf * 0 and overflow along the way; pyproject.toml
+# makes its RuntimeWarning an error, so these also check the refusal under -W error
 NON_FINITE = [math.nan, math.inf, -math.inf, complex(0, math.nan), complex(0, math.inf)]
-# numpy warns on inf - inf and inf * 0 along the way; the refusal is what counts
-non_finite = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-@non_finite
-@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("bad", NON_FINITE + [1e200])  # 1e200: the squared norm overflows
 def test_statevector_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="norm"):
         StateVector(np.array([bad, 0]))
 
 
-@non_finite
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("flag, message", [("hermitian", "Hermitian"), ("unitary", "unitary")])
 def test_flagged_operator_refuses_non_finite(bad, flag, message):
@@ -108,7 +106,6 @@ def test_flagged_operator_refuses_non_finite(bad, flag, message):
         Operator(np.array([[bad, 0], [0, 1]]), **{flag: True})
 
 
-@non_finite
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_partial_trace_refuses_non_finite(bad):
     with pytest.raises(ValueError, match="Hermitian"):
@@ -214,6 +211,18 @@ def test_partial_trace_product_state():
     reduced = partial_trace(rho, keep=(0,), n_qubits=2)
     assert np.allclose(reduced.matrix, [[1, 0], [0, 0]])
     assert abs(purity(reduced) - 1.0) < 1e-10
+
+
+def test_purity_of_a_stack_is_each_matrix_purity(rng):
+    for d in (2, 4):
+        a = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        stack = a @ a.conj().transpose(0, 2, 1)
+        stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+        got = purity(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (5,)
+        assert got.tolist() == [float(np.trace(r @ r).real) for r in stack]
+        assert [purity(Operator(r)) for r in stack] == got.tolist()
+        assert type(purity(stack[0])) is float
 
 
 def test_partial_trace_bell():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holostar.pulse import CouplingSegment, Envelope, coupling_hamiltonian, segment_unitary
-from holostar.qcore import Operator
+from holostar.qcore import Operator, StateVector, density, partial_trace, purity
 from holostar.two_qubit_holonomy import (
     _PRODUCT_INPUTS,
     AUX_BLOCK_ORDER,
@@ -43,6 +43,18 @@ def kron_loop_entangling_power(u):
         phi = u @ np.kron(a, b)
         rho_a = np.einsum("itjt->ij", np.outer(phi, phi.conj()).reshape(2, 2, 2, 2))
         total += 1.0 - float(np.trace(rho_a @ rho_a).real)
+    return total / 36.0
+
+
+def checked_route_entangling_power(u):
+    """The per-input checked route: each output state through StateVector,
+    density, partial_trace and purity.  Oracle for entangling_power, which
+    must give the same float to the last bit."""
+    m = u.matrix
+    total = 0.0
+    for ab in _PRODUCT_INPUTS:
+        rho_a = partial_trace(density(StateVector(m @ ab)), keep=(0,), n_qubits=2)
+        total += 1.0 - purity(rho_a)
     return total / 36.0
 
 
@@ -175,15 +187,16 @@ class TestEntanglingPower:
 
     def test_kron_loop_oracle_on_random_unitaries(self, rng):
         for _ in range(20):
-            u = random_unitary(4, rng)
-            assert abs(entangling_power(Operator(u, unitary=True))
-                       - kron_loop_entangling_power(u)) <= 1e-15
+            u = Operator(random_unitary(4, rng), unitary=True)
+            assert abs(entangling_power(u) - kron_loop_entangling_power(u.matrix)) <= 1e-15
+            assert entangling_power(u) == checked_route_entangling_power(u)
 
     @pytest.mark.parametrize("block", ["u0", "u1"])
     def test_kron_loop_oracle_on_angle_grid(self, block):
         for theta in np.linspace(0, math.pi, 32):
             u = getattr(two_qubit_gate(CouplingGateSpec(float(theta))), block)
             assert abs(entangling_power(u) - kron_loop_entangling_power(u.matrix)) <= 1e-15
+            assert entangling_power(u) == checked_route_entangling_power(u)
 
     def test_monte_carlo_oracle_agrees(self, rng):
         # Haar product-state average via sampling; the 36-state average must
