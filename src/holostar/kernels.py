@@ -52,7 +52,7 @@ def apply_gate_inplace(state, gate, targets):
 
 
 def apply_gate(state, gate, targets):
-    """Copying variant of :func:`apply_gate_inplace`."""
-    out = np.array(state, dtype=np.complex128, copy=True, order="C").reshape(-1)
+    """Copying variant of :func:`apply_gate_inplace`, for a 1-D ``state``."""
+    out = np.array(state, dtype=np.complex128, copy=True, order="C")
     apply_gate_inplace(out, gate, targets)
     return out

@@ -5,11 +5,12 @@ arrays.  Role flags (``hermitian`` / ``unitary``) are verified at construction
 time, so a flagged operator can be trusted downstream without re-checking.
 
 Every check is written so that a NaN deviation fails it: a state vector, a
-flagged operator or the density operator handed to ``partial_trace``
-holding a NaN or infinite entry is refused.  (An operator without role
-flags is not checked, so it may hold any value.)  Under ``python -W error``
-the RuntimeWarning numpy raises on inf input or overflow fails the check too,
-so the caller gets the same ValueError either way.
+flagged operator or the density matrix handed to ``partial_trace`` (an
+``Operator`` or an array, checked alike) holding a NaN or infinite entry is
+refused.  (An operator without role flags is not checked, so it may hold any
+value.)  Under ``python -W error`` the RuntimeWarning numpy raises on inf
+input or overflow fails the check too, so the caller gets the same ValueError
+either way.
 
 A wrapper's array cannot be changed through a reference the caller keeps.
 An array the wrapper is handed whole becomes its own and is frozen in place,
@@ -42,7 +43,6 @@ __all__ = [
     "density",
     "purity",
     "embed_operator",
-    "permute_basis",
     "wrap_phase",
 ]
 
@@ -189,15 +189,27 @@ def purity(rho) -> float | np.ndarray:
     return float(p) if p.ndim == 0 else p
 
 
-def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator:
-    """Reduced density operator on the kept qubits (ascending index order)."""
-    m = rho.matrix
+def partial_trace(rho, keep: Iterable[int], n_qubits: int) -> Operator:
+    """Reduced density operator on the kept qubits (ascending index order).
+
+    ``rho`` is an ``Operator`` or a complex matrix, checked alike: its shape,
+    Hermiticity within HERMITIAN_TOL, unit trace within DENSITY_TOL, and
+    integer ``keep`` indices in range.  Tracing can add up the tolerated
+    Hermitian deviation, so a deviating input gives the Hermitian part of its
+    trace; an exactly Hermitian input keeps its bits.
+    """
+    m = rho.matrix if isinstance(rho, Operator) else np.asarray(rho, dtype=np.complex128)
     dim = 1 << n_qubits
     if m.shape != (dim, dim):
         raise ValueError(f"density matrix shape {m.shape} does not match {n_qubits} qubits")
-    keep = sorted(set(keep))
-    if keep and not (0 <= keep[0] and keep[-1] < n_qubits):
-        raise ValueError(f"kept qubit indices {keep} out of range for {n_qubits} qubits")
+    try:
+        kept = sorted(set(keep))
+        if kept and not (0 <= kept[0] and kept[-1] < n_qubits):
+            raise ValueError(f"kept qubit indices {kept} out of range for {n_qubits} qubits")
+        row = kept + [q for q in range(n_qubits) if q not in kept]
+        t = m.reshape((2,) * (2 * n_qubits)).transpose(row + [n_qubits + q for q in row])
+    except TypeError:  # from sorted or transpose, on an index that is no integer
+        raise ValueError(f"kept qubit indices {keep!r} are not all integers") from None
     try:
         dev = np.abs(m - m.conj().T).max()
     except RuntimeWarning:  # inf - inf under -W error
@@ -207,14 +219,11 @@ def partial_trace(rho: Operator, keep: Iterable[int], n_qubits: int) -> Operator
     tr = m.trace()
     if not (abs(tr.real - 1.0) <= DENSITY_TOL and abs(tr.imag) <= DENSITY_TOL):
         raise ValueError("partial_trace requires a unit-trace density operator")
-    traced = [q for q in range(n_qubits) if q not in keep]
-    t = m.reshape((2,) * (2 * n_qubits))
-    row = keep + traced
-    col = [n_qubits + q for q in row]
-    t = t.transpose(row + col)
-    dk, dt = 1 << len(keep), 1 << len(traced)
-    t = t.reshape(dk, dt, dk, dt)
-    return Operator(np.einsum("itjt->ij", t), hermitian=True)
+    dk = 1 << len(kept)
+    r = np.einsum("itjt->ij", t.reshape(dk, dim // dk, dk, dim // dk))
+    if dev:
+        r = 0.5 * (r + r.conj().T)
+    return Operator(r, hermitian=True)
 
 
 def phase_invariant_distance(u, v) -> float:
@@ -253,15 +262,6 @@ def embed_operator(gate: np.ndarray, targets: Sequence[int], n_qubits: int) -> n
     full = (g @ full.reshape(1 << m, -1)).reshape(shape)
     full = np.moveaxis(full, range(m), list(targets))
     return full.reshape(dim, dim)
-
-
-def permute_basis(matrix: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """Reorder basis states: output[i, j] = matrix[order[i], order[j]]."""
-    idx = np.asarray(order)
-    m = np.asarray(matrix)
-    if sorted(idx.tolist()) != list(range(m.shape[0])):
-        raise ValueError(f"order {order} is not a permutation of 0..{m.shape[0] - 1}")
-    return m[np.ix_(idx, idx)]
 
 
 def _isfinite(x) -> bool:

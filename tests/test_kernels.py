@@ -132,5 +132,11 @@ def test_validation_errors(rng):
         kernels.apply_gate(state, x, (0, 1))
 
 
+def test_apply_gate_refuses_a_state_that_is_not_a_vector():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="vector"):
+        kernels.apply_gate(np.eye(2, dtype=complex), x, (0,))
+
+
 def test_backend_name_reported():
     assert kernels.BACKEND == "numpy"

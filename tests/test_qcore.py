@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from holostar.qcore import (
     embed_operator,
     ket,
     partial_trace,
-    permute_basis,
     phase_invariant_distance,
     purity,
     tensor,
@@ -249,6 +249,56 @@ def test_partial_trace_validation():
         partial_trace(Operator(np.eye(4)), keep=(0,), n_qubits=2)
 
 
+def test_partial_trace_rejects_non_integer_indices():
+    rho = density(ket("00"))
+    for keep in [(0.5,), ("0",), (True,), (1.0,), (0, "1")]:
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(rho, keep=keep, n_qubits=2)
+
+
+def _random_density(n_qubits, rng):
+    dim = 1 << n_qubits
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_partial_trace_takes_a_matrix_as_it_takes_an_operator(rng):
+    for n in (1, 2, 3):
+        for _ in range(5):
+            rho = _random_density(n, rng)
+            for k in range(n + 1):
+                for keep in itertools.combinations(range(n), k):
+                    want = partial_trace(Operator(rho), keep=keep, n_qubits=n).matrix
+                    got = partial_trace(rho, keep=keep, n_qubits=n).matrix
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m, message", [
+    pytest.param(np.full((4, 2), 0.25), "shape", id="4x2"),
+    pytest.param(np.full((4, 4, 1), 0.25), "shape", id="4x4x1"),
+    pytest.param(np.diag([1.0, 0.0]), "shape", id="one-qubit"),
+    pytest.param(np.diag([1.0, math.nan, 0, 0]), "Hermitian", id="nan"),
+    pytest.param(np.diag([1.0, math.inf, 0, 0]), "Hermitian", id="inf"),
+    pytest.param(np.triu(np.ones((4, 4))) / 4, "Hermitian", id="non-hermitian"),
+    pytest.param(np.eye(4), "unit-trace", id="trace-4"),
+])
+def test_partial_trace_refuses_a_bad_matrix(m, message):
+    with pytest.raises(ValueError, match=message):
+        partial_trace(m, keep=(0,), n_qubits=2)
+
+
+@pytest.mark.parametrize("wrap", [Operator, np.asarray], ids=["operator", "ndarray"])
+def test_partial_trace_accepts_what_its_input_check_accepts(wrap):
+    # each entry deviates from Hermitian by 0.9 HERMITIAN_TOL, and tracing
+    # qubit 1 out adds the two: the result is the Hermitian part of the sum
+    m = np.diag([0.25] * 4).astype(complex)
+    m[0, 2] = m[1, 3] = 0.9e-12
+    got = partial_trace(wrap(m), keep=(0,), n_qubits=2).matrix
+    assert np.array_equal(got, [[0.5, 0.9e-12], [0.9e-12, 0.5]])
+    assert np.array_equal(got, got.conj().T)
+
+
 def test_phase_invariant_distance_examples():
     eye = identity(2)
     assert phase_invariant_distance(eye, eye) == 0.0
@@ -296,14 +346,6 @@ def test_embed_operator_against_kron():
         embed_operator(g, (0, 1), 2)
     with pytest.raises(ValueError):
         embed_operator(g, (2,), 2)
-
-
-def test_permute_basis():
-    m = np.arange(16).reshape(4, 4)
-    p = permute_basis(m, (2, 3, 0, 1))
-    assert p[0, 0] == m[2, 2] and p[0, 2] == m[2, 0]
-    with pytest.raises(ValueError):
-        permute_basis(m, (0, 1, 2, 2))
 
 
 def test_wrap_phase():

@@ -10,7 +10,6 @@ from holostar.pulse import CouplingSegment, Envelope, coupling_hamiltonian, segm
 from holostar.qcore import Operator, StateVector, density, partial_trace, purity
 from holostar.two_qubit_holonomy import (
     _PRODUCT_INPUTS,
-    AUX_BLOCK_ORDER,
     BlockDecomposition,
     CouplingGateSpec,
     build_hkl,
@@ -129,6 +128,32 @@ def test_split_blocks_reports_leakage_without_raising():
     aux0, aux1 = [0, 1, 4, 5], [2, 3, 6, 7]
     assert np.array_equal(u0, u[np.ix_(aux0, aux0)])
     assert np.array_equal(u1, u[np.ix_(aux1, aux1)])
+
+
+# Lexicographic (k, a, l) indices reordered to the aux-blocked order
+# {|000>,|001>,|100>,|101>, |010>,|011>,|110>,|111>}, in which the propagator
+# is block diagonal (the auxiliary bit is the middle one).
+AUX_BLOCK_ORDER = (0, 1, 4, 5, 2, 3, 6, 7)
+
+
+def permuted_split_blocks(u):
+    """The fancy-index route: permute the basis to the aux-blocked order and
+    slice.  Oracle for split_blocks, which must give the same bits."""
+    ordered = u[np.ix_(AUX_BLOCK_ORDER, AUX_BLOCK_ORDER)]
+    off = float(np.maximum(np.abs(ordered[:4, 4:]).max(), np.abs(ordered[4:, :4]).max()))
+    return ordered[:4, :4], ordered[4:, 4:], off
+
+
+def test_split_blocks_matches_the_permuted_route(rng):
+    leaky = [segment_unitary(CouplingSegment((0, 1), mix, Envelope(area))).matrix
+             for mix, area in ((math.pi / 2, math.pi), (1.0, math.tau + 2e-8), (0.3, 2.0))]
+    unitaries = [random_unitary(8, rng) for _ in range(10)]
+    general = [rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)) for _ in range(10)]
+    for u in leaky + unitaries + general:
+        u0, u1, off = split_blocks(u)
+        w0, w1, woff = permuted_split_blocks(u)
+        assert np.array_equal(u0, w0) and np.array_equal(u1, w1)
+        assert off == woff
 
 
 @given(mix_angles)
@@ -353,8 +378,3 @@ class TestHolonomyDecompose:
             dec = BlockDecomposition(Operator(u0, unitary=True), Operator(u1, unitary=True), 0.0)
             assert holonomy_decompose(dec).reconstruction_residual == want
 
-
-def test_aux_block_order_is_a_permutation():
-    assert sorted(AUX_BLOCK_ORDER) == list(range(8))
-    # middle (auxiliary) bit is 0 for the first four, 1 for the last four
-    assert [((i >> 1) & 1) for i in AUX_BLOCK_ORDER] == [0, 0, 0, 0, 1, 1, 1, 1]
