@@ -111,9 +111,8 @@ class Circuit:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Final full state, auxiliary statistics, and fidelity to the gate-matrix reference."""
+    """Auxiliary statistics, post-selected register, and fidelity to the gate-matrix reference."""
 
-    final_state: StateVector
     aux_match_probability: float
     register_state: StateVector
     ideal_fidelity: float
@@ -180,7 +179,6 @@ def simulate(circuit: Circuit, arch: StarArchitecture,
     ideal = _ideal_vector(circuit, arch, input_state.amplitudes)
     fidelity = float(abs(np.vdot(register_state.amplitudes, ideal)) ** 2)
     return SimulationResult(
-        final_state=final,
         aux_match_probability=p,
         register_state=register_state,
         ideal_fidelity=fidelity,

@@ -22,7 +22,7 @@ from . import serialization as ser
 from . import single_qubit_holonomy as sq
 from . import two_qubit_holonomy as tq
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .pulse import PulseSchedule
+from .pulse import ENVELOPE_SHAPES, PulseSchedule
 from .qcore import ket
 from .single_qubit_holonomy import RotationTarget
 
@@ -178,6 +178,8 @@ def cmd_verify(args) -> tuple[dict, int]:
     _bounded("--gates", args.gates, 0, MAX_GATES)
     _bounded("--random-circuits", args.random_circuits, 0, MAX_RANDOM_CIRCUITS)
     if args.random_circuits:
+        if args.path is not None:
+            raise _UsageError("verify takes a document path or --random-circuits N, not both")
         try:
             arch = arch_mod.StarArchitecture(args.n_register)
         except ValueError as e:
@@ -212,37 +214,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("synth1q", help="synthesize a holonomic single-qubit rotation")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--dphi", type=float, required=True)
     p.add_argument("--qubit", type=int, default=0)
-    p.add_argument("--shape", default="constant", choices=("constant", "sin_squared"))
-    common(p)
+    p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
+    common(p, cmd_synth1q)
 
     p = sub.add_parser("synth2q", help="synthesize a holonomic two-qubit gate")
     p.add_argument("--theta", type=float, required=True, help="mixing angle in [0, pi]")
     p.add_argument("--pair", type=int, nargs=2, default=(0, 1), metavar=("K", "L"))
-    p.add_argument("--shape", default="constant", choices=("constant", "sin_squared"))
-    common(p)
+    p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
+    common(p, cmd_synth2q)
 
     p = sub.add_parser("simulate", help="simulate a circuit document end to end")
     p.add_argument("--circuit", required=True, help="circuit document path ('-' for stdin)")
     p.add_argument("--input", default=None, help="register input as a bit string")
-    p.add_argument("--shape", default="constant", choices=("constant", "sin_squared"))
+    p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
     p.add_argument("--shots", type=int, default=0,
                    help="additionally sample this many auxiliary measurements")
     p.add_argument("--seed", type=int, default=None)
-    common(p)
+    common(p, cmd_simulate)
 
     p = sub.add_parser("verify", help="certify a schedule or circuit document")
     p.add_argument("path", nargs="?", default=None,
                    help="schedule or circuit document ('-' for stdin)")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--shape", default="constant", choices=("constant", "sin_squared"))
+    p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
     p.add_argument("--random-circuits", type=int, default=0, metavar="N",
                    help="instead of a document, check N seeded random circuits")
     p.add_argument("--n-register", type=int, default=3)
@@ -250,39 +253,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                    help="override one named tolerance (repeatable)")
-    common(p)
+    common(p, cmd_verify)
 
     p = sub.add_parser("ep-sweep", help="tabulate entangling power across mixing angles")
     p.add_argument("--grid", type=int, default=33, help="number of angles in [0, pi]")
     p.add_argument("--format", default="json", choices=("json", "csv"))
-    common(p)
+    common(p, cmd_ep_sweep)
 
     p = sub.add_parser("phase-report", help="geometric/dynamical phase split for a rotation")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--dphi", type=float, required=True)
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--shape", default="constant", choices=("constant", "sin_squared"))
-    common(p)
+    p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
+    common(p, cmd_phase_report)
 
     return parser
-
-
-_HANDLERS = {
-    "synth1q": cmd_synth1q,
-    "synth2q": cmd_synth2q,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "ep-sweep": cmd_ep_sweep,
-    "phase-report": cmd_phase_report,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, code = _HANDLERS[args.command](args)
+        doc, code = args.handler(args)
         _write_output(doc if isinstance(doc, str) else ser.dumps(doc), args.out)
     except (_UsageError, ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -163,17 +163,9 @@ def ket(bits: str) -> StateVector:
     return basis_state(len(bits), int(bits, 2))
 
 
-def tensor(a, b):
-    """Kronecker product of two operators or two state vectors."""
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(
-            np.kron(a.matrix, b.matrix),
-            hermitian=a.hermitian and b.hermitian,
-            unitary=a.unitary and b.unitary,
-        )
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two state vectors."""
+    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def density(psi: StateVector) -> Operator:

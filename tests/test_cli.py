@@ -306,6 +306,16 @@ def test_verify_needs_a_source(capsys):
     assert code == 2 and "random-circuits" in err
 
 
+@pytest.mark.parametrize("exists", [True, False], ids=["existing-path", "missing-path"])
+def test_verify_refuses_a_path_with_random_circuits(capsys, tmp_path, exists):
+    path = tmp_path / "circuit.json"
+    if exists:
+        path = pathlib.Path(write_circuit(tmp_path, [ENT_GATE]))
+    code, out, err = run(capsys, "verify", str(path), "--random-circuits", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "not both" in err
+
+
 def test_verify_random_circuits(capsys):
     doc = run_json(capsys, "verify", "--random-circuits", "3", "--n-register", "2",
                    "--gates", "4", "--seed", "11")

@@ -1,9 +1,11 @@
 """What the package's modules may import, and what they may export.
 
-Only ``certify`` (which compares against them), ``cli`` (which applies
-``--tol``) and the package ``__init__`` (which exports them) import
-``holostar.config``.  Library code that judged a threshold of its own would
-be a second owner of it, out of ``--tol``'s reach.
+Only ``certify`` (which compares against them) and ``cli`` (which applies
+``--tol``) import ``holostar.config``.  Library code that judged a threshold
+of its own would be a second owner of it, out of ``--tol``'s reach.
+
+The package ``__init__`` imports nothing and exports nothing, so every name
+has one import path: the module that defines it.
 
 Every public name is used as code by the package, the acceptance suite or the
 benchmark.  A name that only its own unit test calls is surface to maintain
@@ -16,7 +18,7 @@ import pathlib
 import holostar
 
 PACKAGE = pathlib.Path(holostar.__file__).parent
-CONFIG_READERS = {"certify", "cli", "__init__"}
+CONFIG_READERS = {"certify", "cli"}
 REPO = pathlib.Path(__file__).resolve().parent.parent
 # Public names that need no user: the documented circuit format, which the
 # serialization round-trip tests pin the parser against.
@@ -42,8 +44,15 @@ def test_only_certify_and_cli_read_the_thresholds():
     modules = {p.stem: _imported_modules(p) for p in PACKAGE.glob("*.py")}
     assert CONFIG_READERS | {"two_qubit_holonomy", "pulse"} <= set(modules)
     readers = {name for name, imported in modules.items() if "holostar.config" in imported}
-    assert readers <= CONFIG_READERS, f"{sorted(readers - CONFIG_READERS)} import holostar.config"
-    assert {"certify", "cli"} <= readers
+    assert readers == CONFIG_READERS, f"{sorted(readers)} import holostar.config"
+
+
+def test_the_package_holds_only_its_version():
+    # no import and no __all__: ``holostar.simulate`` would be a second import path
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree) and len(tree.body) == 2, "holostar/__init__.py grew"
+    version = tree.body[1]
+    assert isinstance(version, ast.Assign) and [t.id for t in version.targets] == ["__version__"]
 
 
 def _loaded_names(node: ast.AST) -> set[str]:

@@ -195,15 +195,8 @@ def test_exponential_always_unitary(t):
 
 
 def test_tensor():
-    assert np.array_equal(tensor(identity(2), identity(2)).matrix, np.eye(4))
     assert np.array_equal(tensor(basis_state(1, 0), basis_state(1, 1)).amplitudes,
                           [0, 1, 0, 0])
-    xx = tensor(pauli("x"), pauli("x"))
-    assert np.array_equal(xx.matrix @ basis_state(2, 0).amplitudes,
-                          basis_state(2, 3).amplitudes)
-    assert xx.hermitian and xx.unitary
-    with pytest.raises(TypeError):
-        tensor(pauli("x"), basis_state(1, 0))
 
 
 def test_partial_trace_product_state():
