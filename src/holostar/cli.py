@@ -66,6 +66,13 @@ def _bounded(option: str, value: int, low: int, high: int) -> int:
     return value
 
 
+def _refuse(args, options: tuple[str, ...], source: str):
+    """Exit 2 on the first of ``options`` given that does nothing for ``source``."""
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) is not None:
+            raise _UsageError(f"{option} does not apply to {source}")
+
+
 def _write_output(text: str, out_path: str | None):
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8") as f:
@@ -105,6 +112,8 @@ def cmd_synth2q(args) -> tuple[dict, int]:
 
 def cmd_simulate(args) -> tuple[dict, int]:
     _bounded("--shots", args.shots, 0, MAX_SHOTS)
+    if not args.shots:
+        _refuse(args, ("--seed",), "simulate without --shots")
     circuit, arch = ser.circuit_from_dict(ser.load_document(args.circuit))
     if args.input is None:
         input_state = None
@@ -174,32 +183,41 @@ def cmd_ep_sweep(args) -> tuple[object, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     tol = _resolve_tolerances(args.tol)
-    _bounded("--samples", args.samples, 2, MAX_SAMPLES)
-    _bounded("--gates", args.gates, 0, MAX_GATES)
+    if args.samples is not None:
+        _bounded("--samples", args.samples, 2, MAX_SAMPLES)
+    if args.gates is not None:
+        _bounded("--gates", args.gates, 0, MAX_GATES)
     _bounded("--random-circuits", args.random_circuits, 0, MAX_RANDOM_CIRCUITS)
+    shape = args.shape or "constant"
     if args.random_circuits:
         if args.path is not None:
             raise _UsageError("verify takes a document path or --random-circuits N, not both")
+        _refuse(args, ("--samples",), "--random-circuits")
         try:
-            arch = arch_mod.StarArchitecture(args.n_register)
+            arch = arch_mod.StarArchitecture(3 if args.n_register is None else args.n_register)
         except ValueError as e:
             raise _UsageError(f"--n-register: {e}") from None
-        checks = certify.verify_random_circuits(arch, args.random_circuits, args.gates,
-                                                args.seed, tol, args.shape)
+        checks = certify.verify_random_circuits(arch, args.random_circuits,
+                                                20 if args.gates is None else args.gates,
+                                                args.seed, tol, shape)
         kind = "random-circuits"
     else:
         if not args.path:
             raise _UsageError("verify needs a document path (or --random-circuits N)")
+        _refuse(args, ("--n-register", "--gates", "--seed"), "a document path")
         doc = ser.unwrap_document(ser.load_document(args.path))
         kind = ser.document_kind(doc)
         if kind == "schedule":
+            _refuse(args, ("--shape",), "a schedule document")
             schedule = ser.schedule_from_dict(doc)
             if not schedule.segments:
                 raise _UsageError("schedule document has no segments to verify")
-            checks = certify.verify_schedule(schedule, tol, args.samples)
+            checks = certify.verify_schedule(schedule, tol,
+                                             64 if args.samples is None else args.samples)
         else:
+            _refuse(args, ("--samples",), "a circuit document")
             circuit, arch = ser.circuit_from_dict(doc)
-            checks = certify.verify_circuit(circuit, arch, tol, args.shape)
+            checks = certify.verify_circuit(circuit, arch, tol, shape)
     passed = all(c["pass"] for c in checks)
     out = {"command": "verify", "kind": kind, "checks": checks, "passed": passed}
     return out, 0 if passed else VERIFY_ERROR
@@ -244,12 +262,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify a schedule or circuit document")
     p.add_argument("path", nargs="?", default=None,
                    help="schedule or circuit document ('-' for stdin)")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
+    # None = not given, so an option that changes nothing is refused, not dropped
+    p.add_argument("--samples", type=int, default=None,
+                   help="phase-trace samples per segment of a schedule (default 64)")
+    p.add_argument("--shape", default=None, choices=ENVELOPE_SHAPES,
+                   help="pulse envelope for a circuit (default constant)")
     p.add_argument("--random-circuits", type=int, default=0, metavar="N",
                    help="instead of a document, check N seeded random circuits")
-    p.add_argument("--n-register", type=int, default=3)
-    p.add_argument("--gates", type=int, default=20)
+    p.add_argument("--n-register", type=int, default=None, help="with N: default 3")
+    p.add_argument("--gates", type=int, default=None, help="with N: default 20")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                    help="override one named tolerance (repeatable)")

@@ -220,7 +220,7 @@ def evolve(schedule: PulseSchedule, psi: StateVector) -> StateVector:
     for seg in schedule.segments:
         targets = _segment_targets(seg, schedule, psi)
         kernels.apply_gate_inplace(amps, segment_unitary(seg).matrix, targets)
-    return StateVector(amps)
+    return StateVector._adopt(amps)
 
 
 def expectation_trace(schedule: PulseSchedule, psi: StateVector,

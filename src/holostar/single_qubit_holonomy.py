@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pulse import Envelope, FieldSegment, PulseSchedule, evolve, expectation_trace, segment_unitary
-from .qcore import _PAULI, Operator, StateVector, _isfinite, phase_invariant_distance, wrap_phase
+from .qcore import Operator, StateVector, _isfinite, phase_invariant_distance, wrap_phase
 
 __all__ = [
     "RotationTarget",
@@ -53,11 +53,10 @@ class RotationTarget:
         object.__setattr__(self, "dphi", d)
 
     @property
-    def axis(self) -> np.ndarray:
+    def axis(self) -> tuple[float, float, float]:
         """Unit Bloch vector of the rotation axis."""
         st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi),
-                         math.cos(self.theta)])
+        return st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)
 
     def bloch_state(self) -> StateVector:
         """The +1 eigenstate cos(t/2)|0> + e^{i p} sin(t/2)|1> of the axis."""
@@ -110,9 +109,11 @@ def synthesize(target: RotationTarget, qubit: int = 0, n_register: int | None = 
 def target_unitary(target: RotationTarget) -> Operator:
     """The rotation matrix cos(dphi) I + i sin(dphi) (m . sigma)."""
     mx, my, mz = target.axis
-    m_sigma = mx * _PAULI["x"] + my * _PAULI["y"] + mz * _PAULI["z"]
-    u = math.cos(target.dphi) * np.eye(2) + 1j * math.sin(target.dphi) * m_sigma
-    return Operator(u, unitary=True)
+    c, s = math.cos(target.dphi), math.sin(target.dphi)
+    # entry by entry, the bits the matrix sum gives, up to the sign of an exact zero
+    return Operator(np.array([[complex(c, s * mz), complex(s * my, s * mx)],
+                              [complex(-(s * my), s * mx), complex(c, -(s * mz))]]),
+                    unitary=True)
 
 
 def verify_synthesis(target: RotationTarget) -> float:

@@ -316,6 +316,36 @@ def test_verify_refuses_a_path_with_random_circuits(capsys, tmp_path, exists):
     assert err.startswith("error: ") and err.count("\n") == 1 and "not both" in err
 
 
+_SCHEDULE_DOC = str(GOLDEN / "synth1q_sin2.json")
+_CIRCUIT_DOC = str(GOLDEN / "circuit_n3.json")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("verify", _SCHEDULE_DOC, "--n-register", "7"), "--n-register"),
+    (("verify", _CIRCUIT_DOC, "--gates", "3"), "--gates"),
+    (("verify", _SCHEDULE_DOC, "--seed", "5"), "--seed"),
+    (("verify", _SCHEDULE_DOC, "--shape", "constant"), "--shape"),
+    (("verify", _CIRCUIT_DOC, "--samples", "64"), "--samples"),
+    (("verify", "--random-circuits", "1", "--samples", "8"), "--samples"),
+    (("simulate", "--circuit", _CIRCUIT_DOC, "--seed", "5"), "--seed"),
+    (("simulate", "--circuit", _CIRCUIT_DOC, "--shots", "0", "--seed", "5"), "--seed"),
+], ids=["path-n-register", "path-gates", "path-seed", "schedule-shape", "circuit-samples",
+        "random-samples", "simulate-seed", "simulate-seed-zero-shots"])
+def test_an_option_that_changes_nothing_is_refused(capsys, argv, option):
+    # given its default value too: the option is refused for being given at all
+    code, out, err = run(capsys, *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert option in err and "does not apply" in err
+
+
+def test_each_option_is_taken_where_it_applies(capsys):
+    run_json(capsys, "verify", _CIRCUIT_DOC, "--shape", "sin_squared")
+    run_json(capsys, "verify", _SCHEDULE_DOC, "--samples", "3")
+    run_json(capsys, "verify", "--random-circuits", "1", "--shape", "sin_squared",
+             "--n-register", "2", "--gates", "2", "--seed", "1")
+    run_json(capsys, "simulate", "--circuit", _CIRCUIT_DOC, "--shots", "3", "--seed", "5")
+
+
 def test_verify_random_circuits(capsys):
     doc = run_json(capsys, "verify", "--random-circuits", "3", "--n-register", "2",
                    "--gates", "4", "--seed", "11")

@@ -55,9 +55,9 @@ def test_every_target_position_matches_embedding(n, q, kind, rng):
 
 
 @st.composite
-def _applies(draw):
-    n = draw(st.integers(1, 12))
-    m = draw(st.integers(1, min(3, n)))
+def _applies(draw, min_m=1):
+    n = draw(st.integers(min_m, 12))
+    m = draw(st.integers(min_m, min(3, n)))
     targets = tuple(draw(st.permutations(range(n)))[:m])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gate = rng.uniform(-1, 1, (1 << m, 1 << m)) + 1j * rng.uniform(-1, 1, (1 << m, 1 << m))
@@ -75,6 +75,18 @@ def test_apply_gate_matches_tensordot(case):
     want = np.moveaxis(psi, range(m), targets).reshape(-1)
     np.testing.assert_allclose(kernels.apply_gate(state, gate, targets), want,
                                rtol=0, atol=1e-13)
+
+
+@given(_applies(min_m=2))
+def test_multi_qubit_apply_is_the_moveaxis_contraction_bit_for_bit(case):
+    # the route every multi-qubit apply took before the kernel transposed
+    # the targets to the front: the same view, so the same bits
+    state, gate, targets = case
+    n, m = state.size.bit_length() - 1, len(targets)
+    want = state.copy()
+    t = np.moveaxis(want.reshape((2,) * n), targets, range(m))
+    t[...] = (gate @ t.reshape(1 << m, -1)).reshape(t.shape)
+    assert np.array_equal(kernels.apply_gate(state, gate, targets), want)
 
 
 def test_public_names_and_inplace_dispatch(monkeypatch, rng):

@@ -25,7 +25,8 @@ from holostar.qcore import (
     wrap_phase,
 )
 
-from conftest import SX, SY, SZ, matrix_exponential_hermitian, random_unitary
+from conftest import (SX, SY, SZ, einsum_partial_trace, matrix_exponential_hermitian,
+                      random_unitary)
 
 angles = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -73,19 +74,36 @@ def test_wrapper_copies_a_view_of_writable_memory():
     assert psi.amplitudes[0] == 1
 
 
-def test_wrapper_takes_over_an_owned_array_without_a_copy():
-    # the caller's own name can no longer write, so no copy is needed; evolve
-    # relies on this to hand over its working vector for free
+def test_wrapper_copies_an_array_the_caller_took_a_view_of():
+    # a view taken before construction reaches neither the wrapper's array nor
+    # its flags: the array stays the caller's, writable, and changes nothing
     b = np.array([1, 0], dtype=complex)
+    v = b[:]
     psi = StateVector(b)
-    assert psi.amplitudes is b
-    with pytest.raises(ValueError, match="read-only"):
-        b[0] = 7
+    v[0] = 7
+    b[1] = 7
+    assert psi.amplitudes.tolist() == [1, 0]
+    assert not np.shares_memory(psi.amplitudes, b)
     a = np.eye(2, dtype=complex)
+    w = a[:]
     op = Operator(a, unitary=True)
-    assert op.matrix is a
-    with pytest.raises(ValueError, match="read-only"):
-        a[0, 0] = 5
+    w[0, 0] = 5
+    a[1, 1] = 5
+    assert op.matrix.tolist() == [[1, 0], [0, 1]]
+    assert not np.shares_memory(op.matrix, a)
+    for arr in (psi.amplitudes, op.matrix):
+        assert arr.flags.c_contiguous and arr.dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_an_adopted_vector_is_frozen_and_checked_without_a_copy():
+    a = np.array([1, 0], dtype=complex)
+    psi = StateVector._adopt(a)
+    assert psi.amplitudes is a and not a.flags.writeable
+    for bad in (np.array([1, 1], dtype=complex), np.ones((2, 2), dtype=complex) / 2):
+        with pytest.raises(ValueError, match="norm|1-D"):
+            StateVector._adopt(bad)
 
 
 # numpy warns on inf - inf, inf * 0 and overflow along the way; pyproject.toml
@@ -265,6 +283,17 @@ def test_partial_trace_takes_a_matrix_as_it_takes_an_operator(rng):
                     want = partial_trace(Operator(rho), keep=keep, n_qubits=n).matrix
                     got = partial_trace(rho, keep=keep, n_qubits=n).matrix
                     assert np.array_equal(got, want)
+
+
+def test_partial_trace_matches_the_einsum_route(rng):
+    for n in (1, 2, 3):
+        for _ in range(5):
+            rho = _random_density(n, rng)
+            for k in range(n + 1):
+                for keep in itertools.combinations(range(n), k):
+                    got = partial_trace(rho, keep=keep, n_qubits=n).matrix
+                    want = einsum_partial_trace(rho, keep, n)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("m, message", [

@@ -25,7 +25,8 @@ from holostar.two_qubit_holonomy import (
     verify_parallel_transport,
 )
 
-from conftest import envelope_amplitude, envelope_partial_area, random_unitary
+from conftest import (einsum_partial_trace, envelope_amplitude, envelope_partial_area,
+                      random_unitary)
 
 mix_angles = st.floats(0.0, math.pi)
 
@@ -222,6 +223,17 @@ class TestEntanglingPower:
             u = getattr(two_qubit_gate(CouplingGateSpec(float(theta))), block)
             assert abs(entangling_power(u) - kron_loop_entangling_power(u.matrix)) <= 1e-15
             assert entangling_power(u) == checked_route_entangling_power(u)
+
+    @pytest.mark.parametrize("block", ["u0", "u1"])
+    def test_partial_trace_of_each_product_density_is_the_einsum_route(self, block):
+        # bit for bit on the 36 densities entangling_power hands partial_trace
+        for theta in np.linspace(0, math.pi, 65):
+            u = getattr(two_qubit_gate(CouplingGateSpec(float(theta))), block).matrix
+            phi = u @ _PRODUCT_INPUTS[:, :, None]
+            for rho in phi * phi.conj().transpose(0, 2, 1):
+                for keep in ((0,), (1,)):
+                    got = partial_trace(rho, keep=keep, n_qubits=2).matrix
+                    assert np.array_equal(got, einsum_partial_trace(rho, keep, 2))
 
     def test_monte_carlo_oracle_agrees(self, rng):
         # Haar product-state average via sampling; the 36-state average must
