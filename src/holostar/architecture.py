@@ -4,8 +4,9 @@ The auxiliary sits on every coupling path, is prepared in a fixed basis
 state, and is measured in that same state at the end; the holonomic pulses
 return it there deterministically, so post-selection succeeds with
 probability one for exact pulses.  Circuits of abstract rotation/entangling
-gates are lowered to pulse schedules and simulated on the full register+
-auxiliary state vector, then checked against the pulse-free gate-matrix
+gates are lowered to pulse schedules and simulated on the n-qubit register
+vector alone, each coupling pulse through the block of its own propagator
+that returns the auxiliary, then checked against the pulse-free gate-matrix
 reference.
 """
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .pulse import PulseSchedule, evolve
-from .qcore import Operator, StateVector, basis_state, embed_operator, tensor
+from .qcore import Operator, StateVector, basis_state, embed_operator
 from .single_qubit_holonomy import RotationTarget, synthesize, target_unitary
 from .two_qubit_holonomy import CouplingGateSpec, ideal_block
 
@@ -32,13 +33,12 @@ __all__ = [
     "compile_circuit",
     "simulate",
     "ideal_unitary",
-    "post_select_auxiliary",
     "random_circuit",
     "sample_auxiliary",
 ]
 
 POST_SELECTION_FLOOR = 1e-12
-MAX_REGISTER = 20  # with the auxiliary, 2^21 amplitudes: 32 MiB per state vector
+MAX_REGISTER = 20  # 2^20 amplitudes: 16 MiB per state vector
 
 
 class PostSelectionError(RuntimeError):
@@ -131,21 +131,6 @@ def compile_circuit(circuit: Circuit, arch: StarArchitecture,
     return PulseSchedule(tuple(segments), arch.n_register)
 
 
-def post_select_auxiliary(state: StateVector, n_register: int, aux_state: int):
-    """Project the last qubit onto |aux_state>; returns (probability, register amplitudes).
-
-    The register amplitudes are renormalized; they are None when the
-    probability is numerically zero.
-    """
-    if state.n_qubits != n_register + 1:
-        raise ValueError(f"state has {state.n_qubits} qubits, expected {n_register + 1}")
-    comp = state.amplitudes.reshape(1 << n_register, 2)[:, aux_state]
-    p = float(np.linalg.norm(comp) ** 2)
-    if p < POST_SELECTION_FLOOR:
-        return p, None
-    return p, comp / math.sqrt(p)
-
-
 def _ideal_vector(circuit: Circuit, arch: StarArchitecture, amps: np.ndarray) -> np.ndarray:
     """Gate-matrix reference: apply ideal 2x2/4x4 matrices directly to the
     register vector, never touching the auxiliary dimension."""
@@ -161,21 +146,22 @@ def _ideal_vector(circuit: Circuit, arch: StarArchitecture, amps: np.ndarray) ->
 def simulate(circuit: Circuit, arch: StarArchitecture,
              input_state: StateVector | None = None,
              shape: str = "constant") -> SimulationResult:
-    """Run the full protocol: attach the auxiliary, evolve the compiled pulses,
-    measure the auxiliary back in its prepared state, and compare the
-    post-selected register against the gate-matrix reference."""
+    """Run the full protocol on the register: evolve the compiled pulses with
+    the auxiliary held in its prepared state, take the squared norm left as
+    the probability of measuring it back there, and compare the renormalized
+    (post-selected) register against the gate-matrix reference."""
     if input_state is None:
         input_state = basis_state(arch.n_register, 0)
     if input_state.n_qubits != arch.n_register:
         raise ValueError(
             f"input has {input_state.n_qubits} qubits, register expects {arch.n_register}"
         )
-    full = tensor(input_state, basis_state(1, arch.auxiliary_state))
-    final = evolve(compile_circuit(circuit, arch, shape), full)
-    p, reg = post_select_auxiliary(final, arch.n_register, arch.auxiliary_state)
-    if reg is None:
+    phi = evolve(compile_circuit(circuit, arch, shape), input_state, arch.auxiliary_state)
+    p = float(np.vdot(phi, phi).real)
+    if p < POST_SELECTION_FLOOR:
         raise PostSelectionError(p)
-    register_state = StateVector(reg)
+    phi /= math.sqrt(p)
+    register_state = StateVector._adopt(phi)
     ideal = _ideal_vector(circuit, arch, input_state.amplitudes)
     fidelity = float(abs(np.vdot(register_state.amplitudes, ideal)) ** 2)
     return SimulationResult(

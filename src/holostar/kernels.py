@@ -2,7 +2,7 @@
 
 A one-qubit gate on qubit q sees the state as (L, 2, R), L = 2^q, R = 2^(n-q-1).
 Per-apply costs on a 2-vCPU Xeon (in-process timeit, over q and five runs) at
-n = 11, a 10-qubit simulation's state (a copy of it takes 2 us), / at n = 15:
+n = 11, an 11-qubit register's state (a copy of it takes 2 us), / at n = 15:
 - L <= R or R >= 64: ``gate @ view`` batched over L, 13-34 us / 0.09-0.28 ms.
   BLAS pays per batch, so this shape takes 1.1 ms at n = 15, R = 8.
 - R <= 8: the (L, 2R) view times (gate (x) I_R)^T, one GEMM, 20-31 us /

@@ -189,38 +189,51 @@ def segment_unitary(seg: Segment) -> Operator:
     return Operator(_propagator(_unit_hamiltonian(seg), seg.envelope.area), unitary=True)
 
 
-def _segment_targets(seg: Segment, schedule: PulseSchedule, psi: StateVector) -> tuple[int, ...]:
-    """Resolve which state qubits a segment acts on, for full or local states.
-
-    Full mode: the state covers the register plus the auxiliary stored at the
-    last index; a field segment addresses its one qubit and a coupling
-    segment (k, aux, l).  Local mode: the state is exactly the segment's own
-    qubits (one for a field segment, three for a coupling segment).
-    """
-    n = schedule.n_register
-    if psi.n_qubits == n + 1:
-        if isinstance(seg, FieldSegment):
-            return (seg.qubit,)
-        return (seg.pair[0], n, seg.pair[1])
+def _local_targets(seg: Segment, psi: StateVector) -> tuple[int, ...]:
+    """The qubits of a segment's own local state: one for a field segment,
+    three (k, aux, l) for a coupling segment."""
     if isinstance(seg, FieldSegment) and psi.n_qubits == 1:
         return (0,)
     if isinstance(seg, CouplingSegment) and psi.n_qubits == 3:
         return (0, 1, 2)
-    raise ValueError(
-        f"state on {psi.n_qubits} qubits matches neither the full register "
-        f"of {n}+1 nor the local segment size"
-    )
+    raise ValueError(f"state on {psi.n_qubits} qubits matches neither the "
+                     "1-qubit field nor the 3-qubit coupling segment size")
 
 
-def evolve(schedule: PulseSchedule, psi: StateVector) -> StateVector:
-    """Apply every segment propagator of the schedule to the state, in order."""
-    if not schedule.segments:
+def evolve(schedule: PulseSchedule, psi: StateVector,
+           aux_state: int | None = None) -> StateVector | np.ndarray:
+    """Apply every segment propagator of the schedule to the state, in order.
+
+    Without ``aux_state``, ``psi`` is the segments' own local state (see
+    :func:`_local_targets`) and the evolved state is returned.  With it,
+    ``psi`` is the n-qubit register and the auxiliary sits in
+    ``|aux_state>``: a field segment applies its 2x2 propagator to its
+    qubit, and a coupling segment the 4x4 block of its own (k, aux, l)
+    propagator that takes the auxiliary from ``|aux_state>`` back to it,
+    to (k, l).  The returned amplitudes are those left in that block, not
+    renormalized: their squared norm is the probability of finding the
+    auxiliary back in its prepared state.  (For one segment the block D
+    and the leak B out of it satisfy D^dag D = I - B^dag B; leaked amplitude
+    that a later segment would carry back is dropped.)
+    """
+    if aux_state is None and not schedule.segments:
         return psi
+    n = schedule.n_register
+    if aux_state is not None and (aux_state not in (0, 1) or psi.n_qubits != n):
+        raise ValueError(f"expected the register of {n} qubits and auxiliary state 0 or 1, "
+                         f"got {psi.n_qubits} qubits and {aux_state}")
     amps = np.array(psi.amplitudes, copy=True)
     for seg in schedule.segments:
-        targets = _segment_targets(seg, schedule, psi)
-        kernels.apply_gate_inplace(amps, segment_unitary(seg).matrix, targets)
-    return StateVector._adopt(amps)
+        u = segment_unitary(seg).matrix
+        if aux_state is None:
+            targets = _local_targets(seg, psi)
+        elif isinstance(seg, FieldSegment):
+            targets = (seg.qubit,)
+        else:  # the aux-to-aux block of the (k, aux, l) propagator, on (k, l)
+            u = u.reshape((2,) * 6)[:, aux_state, :, :, aux_state, :].reshape(4, 4)
+            targets = seg.pair
+        kernels.apply_gate_inplace(amps, u, targets)
+    return amps if aux_state is not None else StateVector._adopt(amps)
 
 
 def expectation_trace(schedule: PulseSchedule, psi: StateVector,
@@ -243,7 +256,7 @@ def expectation_trace(schedule: PulseSchedule, psi: StateVector,
     out: list[tuple[float, float]] = []
     t0 = 0.0
     for seg in schedule.segments:
-        targets = _segment_targets(seg, schedule, psi)
+        targets = _local_targets(seg, psi)
         h_unit = _unit_hamiltonian(seg)
         energy = float(np.vdot(amps, kernels.apply_gate(amps, h_unit, targets)).real)
         env = seg.envelope

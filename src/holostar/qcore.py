@@ -17,8 +17,7 @@ the wrapper converts its input with one copying ``np.array`` call and makes
 the copy read-only, so no name or view the caller holds reaches it.  (The
 one exception, ``StateVector._adopt``, takes a fresh array its caller drops.)
 
-Qubit convention: qubit 0 is the most significant bit of the basis index, so
-``tensor(a, b)`` puts ``a`` on the most significant positions.
+Qubit convention: qubit 0 is the most significant bit of the basis index.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "StateVector",
     "basis_state",
     "ket",
-    "tensor",
     "partial_trace",
     "phase_invariant_distance",
     "density",
@@ -116,7 +114,7 @@ class StateVector:
     @classmethod
     def _adopt(cls, a: np.ndarray) -> "StateVector":
         """The state over the fresh complex128 vector ``a`` itself, frozen and
-        checked like any other: how ``evolve`` hands over its working vector.
+        checked like any other: how ``evolve`` and ``simulate`` hand over a working vector.
         (A copy made ``sim-wide`` 6-10% slower, through glibc heap trimming.)"""
         a.setflags(write=False)
         psi = cls.__new__(cls)
@@ -168,11 +166,6 @@ def ket(bits: str) -> StateVector:
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError(f"invalid bit string {bits!r}")
     return basis_state(len(bits), int(bits, 2))
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two state vectors."""
-    return StateVector(np.kron(a.amplitudes, b.amplitudes))
 
 
 def density(psi: StateVector) -> Operator:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from holostar.pulse import FieldSegment, segment_unitary
 from holostar.qcore import Operator
 
 settings.register_profile(
@@ -70,6 +71,23 @@ def einsum_partial_trace(m, keep, n_qubits):
     if np.abs(m - m.conj().T).max():
         r = 0.5 * (r + r.conj().T)
     return r
+
+
+def dense_post_selected(schedule, amps, aux_state):
+    """The route ``simulate`` took before it evolved the register alone: the
+    register times the auxiliary's basis state |aux_state> as qubit n, each
+    segment propagator contracted by ``np.tensordot`` into (qubit,) or
+    (k, n, l) of those n + 1 qubits, then the auxiliary projected back onto
+    |aux_state>.  Returns the register amplitudes left there, not renormalized."""
+    n = schedule.n_register
+    state = np.kron(amps, np.eye(2)[aux_state]).reshape((2,) * (n + 1))
+    for seg in schedule.segments:
+        targets = (seg.qubit,) if isinstance(seg, FieldSegment) else (seg.pair[0], n, seg.pair[1])
+        m = len(targets)
+        g = segment_unitary(seg).matrix.reshape((2,) * (2 * m))
+        state = np.moveaxis(np.tensordot(g, state, axes=(range(m, 2 * m), targets)),
+                            range(m), targets)
+    return np.ascontiguousarray(state[..., aux_state]).reshape(-1)
 
 
 def haar_state(dim, rng):

@@ -284,7 +284,7 @@ def test_criterion_10_scale():
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0 and result.aux_match_probability > 1.0 - 1e-9
     _report(10, "scale (n=10, 50 gates)", ok,
-            f"simulated 2^11 state in {elapsed:.2f} s, "
+            f"simulated 2^10 register in {elapsed:.2f} s, "
             f"aux probability {result.aux_match_probability:.12f}")
     assert elapsed < 10.0
     assert result.aux_match_probability > 1.0 - 1e-9

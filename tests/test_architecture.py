@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from holostar import kernels
 from holostar.architecture import (
     MAX_REGISTER,
     Circuit,
@@ -12,7 +15,6 @@ from holostar.architecture import (
     StarArchitecture,
     compile_circuit,
     ideal_unitary,
-    post_select_auxiliary,
     random_circuit,
     sample_auxiliary,
     simulate,
@@ -22,7 +24,7 @@ from holostar.qcore import StateVector, basis_state, density, ket, partial_trace
 from holostar.single_qubit_holonomy import RotationTarget, target_unitary
 from holostar.two_qubit_holonomy import ideal_block
 
-from conftest import haar_state
+from conftest import dense_post_selected, haar_state
 
 
 def rot(q, theta, phi, dphi):
@@ -153,16 +155,66 @@ def test_ideal_unitary_matches_simulation(rng):
     assert abs(overlap - 1.0) < 1e-9
 
 
-def test_post_select_auxiliary():
-    # register |0>, auxiliary |1>: post-selecting on |0> finds nothing
-    state = ket("01")
-    p, reg = post_select_auxiliary(state, 1, 0)
-    assert p < 1e-12 and reg is None
-    p, reg = post_select_auxiliary(state, 1, 1)
-    assert abs(p - 1.0) < 1e-12
-    assert np.allclose(reg, [1, 0])
-    with pytest.raises(ValueError):
-        post_select_auxiliary(state, 3, 0)
+@given(st.integers(1, 6), st.sampled_from([0, 1]), st.sampled_from(["constant", "sin_squared"]),
+       st.integers(0, 30), st.integers(0, 2**32 - 1), st.data())
+def test_simulate_matches_the_dense_register_plus_auxiliary_route(n, aux, shape, n_gates,
+                                                                  seed, data):
+    arch = StarArchitecture(n, aux)
+    circuit = random_circuit(n, n_gates, np.random.default_rng(seed))
+    psi = basis_state(n, data.draw(st.integers(0, 2**n - 1)))
+    res = simulate(circuit, arch, psi, shape)
+    phi = dense_post_selected(compile_circuit(circuit, arch, shape), psi.amplitudes, aux)
+    p = float(np.vdot(phi, phi).real)
+    # each route's rounding moves the norm: two implementations of the dense
+    # route alone differ by up to 1.8e-15 on p over seeded 30-gate circuits
+    assert abs(res.aux_match_probability - p) <= 1e-14
+    assert np.max(np.abs(res.register_state.amplitudes - phi / math.sqrt(p))) <= 1e-14
+
+
+def _relabelled(circuit, perm):
+    return Circuit(tuple(
+        RotationGate(perm[g.qubit], g.target) if isinstance(g, RotationGate)
+        else EntanglingGate((perm[g.pair[0]], perm[g.pair[1]]), g.mix_theta)
+        for g in circuit.gates))
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.permutations(range(n))),
+       st.integers(0, 2**32 - 1))
+def test_simulate_commutes_with_qubit_relabelling(perm, seed):
+    # up to n = 8 every one-qubit kernel shape is reached at every position
+    n = len(perm)
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(n, 12, rng)
+    order = np.argsort(perm)  # new qubit perm[q] holds old qubit q
+
+    def relabel(a):
+        return a.reshape((2,) * n).transpose(order).reshape(-1)
+
+    psi = haar_state(2**n, rng)
+    res = simulate(circuit, StarArchitecture(n), StateVector(psi))
+    moved = simulate(_relabelled(circuit, perm), StarArchitecture(n), StateVector(relabel(psi)))
+    assert np.max(np.abs(moved.register_state.amplitudes
+                         - relabel(res.register_state.amplitudes))) <= 1e-13
+    assert abs(moved.aux_match_probability - res.aux_match_probability) <= 1e-14
+    assert abs(moved.ideal_fidelity - res.ideal_fidelity) <= 1e-13
+
+
+def test_simulate_applies_every_gate_to_the_register_alone(monkeypatch):
+    sizes = []
+    apply = kernels.apply_gate_inplace
+
+    def recording(state, gate, targets):
+        sizes.append(state.size)
+        apply(state, gate, targets)
+
+    monkeypatch.setattr(kernels, "apply_gate_inplace", recording)
+    circuit = random_circuit(5, 20, np.random.default_rng(16))
+    simulate(circuit, StarArchitecture(5))
+    n_rot = sum(isinstance(g, RotationGate) for g in circuit.gates)
+    # evolve: three field segments per rotation, one coupling per entangling
+    # gate; the reference: one matrix per gate
+    assert len(sizes) == 4 * n_rot + 2 * (len(circuit.gates) - n_rot) > 0
+    assert set(sizes) == {2**5}
 
 
 def test_post_selection_error_carries_probability():

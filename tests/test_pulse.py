@@ -26,6 +26,7 @@ from holostar.qcore import (
 from conftest import (
     SX,
     SY,
+    dense_post_selected,
     envelope_amplitude,
     envelope_partial_area,
     haar_state,
@@ -211,38 +212,76 @@ def test_evolve_step1_rotates_state_to_pole():
 
 
 def test_evolve_full_register_embeds_field_segment(rng):
-    # field on qubit 1 of a 2-register + auxiliary state; auxiliary untouched
+    # field on qubit 1 of a 2-qubit register: the auxiliary is untouched
     seg = FieldSegment(1, 0.7, Envelope(1.9))
-    psi = StateVector(haar_state(8, rng))
-    out = evolve(PulseSchedule((seg,), 2), psi)
-    full = embed_operator(segment_unitary(seg).matrix, (1,), 3)
-    assert np.allclose(out.amplitudes, full @ psi.amplitudes, atol=1e-13)
+    sched = PulseSchedule((seg,), 2)
+    psi = StateVector(haar_state(4, rng))
+    want = embed_operator(segment_unitary(seg).matrix, (1,), 2) @ psi.amplitudes
+    for aux in (0, 1):
+        out = evolve(sched, psi, aux)
+        assert np.max(np.abs(out - dense_post_selected(sched, psi.amplitudes, aux))) <= 1e-15
+        assert np.allclose(out, want, atol=1e-15)
 
 
 def test_evolve_full_register_embeds_coupling_segment(rng):
-    # coupling on pair (0, 2) of a 3-register + aux state: acts on (0, aux=3, 2)
+    # coupling on pair (0, 2) of a 3-qubit register: the register and the
+    # (k, aux, l) local state both hold 8 amplitudes, so the argument picks the route
     seg = CouplingSegment((0, 2), 0.8, Envelope(math.tau))
-    psi = StateVector(haar_state(16, rng))
-    out = evolve(PulseSchedule((seg,), 3), psi)
-    full = embed_operator(segment_unitary(seg).matrix, (0, 3, 2), 4)
-    assert np.allclose(out.amplitudes, full @ psi.amplitudes, atol=1e-13)
+    sched = PulseSchedule((seg,), 3)
+    psi = StateVector(haar_state(8, rng))
+    local = evolve(sched, psi).amplitudes
+    assert np.allclose(local, segment_unitary(seg).matrix @ psi.amplitudes, atol=1e-15)
+    for aux in (0, 1):
+        out = evolve(sched, psi, aux)
+        assert np.max(np.abs(out - dense_post_selected(sched, psi.amplitudes, aux))) <= 1e-15
+        assert np.max(np.abs(local - out)) > 0.1
 
 
 def test_evolve_dimension_mismatch():
     seg = FieldSegment(0, 0.0, Envelope(1.0))
     with pytest.raises(ValueError, match="matches neither"):
         evolve(PulseSchedule((seg,), 2), ket("00"))
+    with pytest.raises(ValueError, match="register of 2 qubits"):
+        evolve(PulseSchedule((seg,), 2), ket("000"), 0)
+    with pytest.raises(ValueError, match="auxiliary state 0 or 1"):
+        evolve(PulseSchedule((seg,), 2), ket("00"), 2)
 
 
 def test_evolve_preserves_norm(rng):
+    # area-2pi couplings return the auxiliary, so the register keeps its norm;
+    # a local state keeps it at any area
     segs = (
         FieldSegment(0, 1.0, Envelope(2.0, "sin_squared")),
-        CouplingSegment((0, 1), 0.5, Envelope(3.0)),
+        CouplingSegment((0, 1), 0.5, Envelope(math.tau)),
         FieldSegment(1, 4.0, Envelope(1.0)),
     )
-    psi = StateVector(haar_state(8, rng))
-    out = evolve(PulseSchedule(segs, 2), psi)
+    psi = StateVector(haar_state(4, rng))
+    for aux in (0, 1):
+        out = evolve(PulseSchedule(segs, 2), psi, aux)
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    local = (CouplingSegment((0, 1), 0.5, Envelope(3.0)),)
+    out = evolve(PulseSchedule(local, 2), StateVector(haar_state(8, rng)))
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+
+@given(st.floats(1e-6, 1e-3), st.sampled_from([0, 1]), st.integers(2, 5),
+       st.integers(0, 2**32 - 1))
+def test_register_route_loses_the_leaked_probability(delta, aux, n, seed):
+    # an area 2pi + delta pulse leaks out of the auxiliary's block; for one
+    # segment D^dag D = I - B^dag B, so the register's lost norm is exactly
+    # the dense route's post-selection deficit
+    rng = np.random.default_rng(seed)
+    k, l = (int(q) for q in rng.choice(n, size=2, replace=False))
+    seg = CouplingSegment((k, l), float(rng.uniform(0.0, math.pi)), Envelope(math.tau + delta))
+    sched = PulseSchedule((seg,), n)
+    psi = StateVector(haar_state(2**n, rng))
+
+    def deficit(v):
+        return 1.0 - float(np.vdot(v, v).real)
+
+    got = deficit(evolve(sched, psi, aux))
+    assert abs(got - deficit(dense_post_selected(sched, psi.amplitudes, aux))) <= 1e-14
+    assert got > 1e-3 * delta**2
 
 
 def _inverted(schedule):
@@ -263,14 +302,23 @@ def _inverted(schedule):
 
 
 def test_inverted_schedule_round_trip(rng):
+    # on the register with area-2pi couplings, and on a local (k, aux, l)
+    # state at any coupling area
     segs = (
         FieldSegment(0, 0.3, Envelope(1.7)),
-        CouplingSegment((0, 1), 1.1, Envelope(2.9, "sin_squared")),
+        CouplingSegment((0, 1), 1.1, Envelope(math.tau, "sin_squared")),
         FieldSegment(1, 5.1, Envelope(0.4)),
     )
     sched = PulseSchedule(segs, 2)
+    psi = StateVector(haar_state(4, rng))
+    for aux in (0, 1):
+        there = StateVector(evolve(sched, psi, aux))
+        back = evolve(_inverted(sched), there, aux)
+        assert np.max(np.abs(back - psi.amplitudes)) < 1e-9
+    local = PulseSchedule((CouplingSegment((0, 1), 1.1, Envelope(2.9, "sin_squared")),
+                           CouplingSegment((1, 0), 0.4, Envelope(5.3))), 2)
     psi = StateVector(haar_state(8, rng))
-    back = evolve(_inverted(sched), evolve(sched, psi))
+    back = evolve(_inverted(local), evolve(local, psi))
     assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-9
 
 
@@ -335,7 +383,6 @@ def _sampled_trace_oracle(schedule, psi, samples):
     area and evaluates the instantaneous energy; nothing relies on the
     commuting-propagator shortcut or on the state-vector kernels.
     """
-    n = schedule.n_register
     n_qubits = int(np.log2(psi.amplitudes.size))
     amps = np.array(psi.amplitudes, dtype=complex)
     out = []
@@ -343,11 +390,11 @@ def _sampled_trace_oracle(schedule, psi, samples):
     for seg in schedule.segments:
         if isinstance(seg, FieldSegment):
             h_unit = 0.5 * (math.cos(seg.beta) * SX + math.sin(seg.beta) * SY)
-            targets = (seg.qubit,) if n_qubits == n + 1 else (0,)
+            targets = (0,)
         else:
             h_unit = coupling_hamiltonian(math.cos(seg.mix_theta / 2),
                                           math.sin(seg.mix_theta / 2))
-            targets = (seg.pair[0], n, seg.pair[1]) if n_qubits == n + 1 else (0, 1, 2)
+            targets = (0, 1, 2)
         evals, evecs = np.linalg.eigh(h_unit)
 
         def propagator(area):
@@ -390,15 +437,18 @@ def _assert_trace_matches_oracle(sched, psi, samples):
         assert abs(v - v_ref) <= 1e-12
 
 
-def test_expectation_trace_matches_sampled_propagation_full_register():
+def test_expectation_trace_refuses_the_register_plus_auxiliary_state():
+    # energies are traced on a segment's own local state only (n = 2 is left
+    # out: a 2-qubit register plus auxiliary has the local coupling size)
     rng = np.random.default_rng(7103)
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
-        segs = tuple(_random_field(rng, n) if n == 1 or rng.random() < 0.5
-                     else _random_coupling(rng, n)
-                     for _ in range(int(rng.integers(1, 6))))
-        psi = StateVector(haar_state(2 ** (n + 1), rng))
-        _assert_trace_matches_oracle(PulseSchedule(segs, n), psi, int(rng.integers(2, 17)))
+    for n in (1, 3):
+        for _ in range(5):
+            segs = tuple(_random_field(rng, n) if n == 1 or rng.random() < 0.5
+                         else _random_coupling(rng, n)
+                         for _ in range(int(rng.integers(1, 6))))
+            psi = StateVector(haar_state(2 ** (n + 1), rng))
+            with pytest.raises(ValueError, match="matches neither"):
+                expectation_trace(PulseSchedule(segs, n), psi)
 
 
 def test_expectation_trace_matches_sampled_propagation_local_states():

@@ -21,7 +21,6 @@ from holostar.qcore import (
     partial_trace,
     phase_invariant_distance,
     purity,
-    tensor,
     wrap_phase,
 )
 
@@ -210,11 +209,6 @@ def test_exponential_always_unitary(t):
     h = Operator(SX + 0.3 * SZ, hermitian=True)
     u = matrix_exponential_hermitian(h, t).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
-
-
-def test_tensor():
-    assert np.array_equal(tensor(basis_state(1, 0), basis_state(1, 1)).amplitudes,
-                          [0, 1, 0, 0])
 
 
 def test_partial_trace_product_state():
