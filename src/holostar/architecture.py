@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .pulse import PulseSchedule, evolve
-from .qcore import Operator, StateVector, basis_state, embed_operator
+from .qcore import StateVector, basis_state
 from .single_qubit_holonomy import RotationTarget, synthesize, target_unitary
 from .two_qubit_holonomy import CouplingGateSpec, ideal_block
 
@@ -32,7 +32,6 @@ __all__ = [
     "PostSelectionError",
     "compile_circuit",
     "simulate",
-    "ideal_unitary",
     "random_circuit",
     "sample_auxiliary",
 ]
@@ -169,19 +168,6 @@ def simulate(circuit: Circuit, arch: StarArchitecture,
         register_state=register_state,
         ideal_fidelity=fidelity,
     )
-
-
-def ideal_unitary(circuit: Circuit, arch: StarArchitecture) -> Operator:
-    """Product of the ideal gate matrices embedded on the register (no auxiliary)."""
-    n = arch.n_register
-    u = np.eye(1 << n, dtype=np.complex128)
-    for g in circuit.gates:
-        if isinstance(g, RotationGate):
-            full = embed_operator(target_unitary(g.target).matrix, (g.qubit,), n)
-        else:
-            full = embed_operator(ideal_block(g.mix_theta, arch.auxiliary_state), g.pair, n)
-        u = full @ u
-    return Operator(u, unitary=True)
 
 
 def random_circuit(n_register: int, n_gates: int, rng: np.random.Generator) -> Circuit:

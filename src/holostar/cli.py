@@ -66,6 +66,13 @@ def _bounded(option: str, value: int, low: int, high: int) -> int:
     return value
 
 
+def _seed(args) -> int | None:
+    """``--seed``, refused when negative (numpy's own refusal names no option)."""
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be nonnegative, got {args.seed}")
+    return args.seed
+
+
 def _refuse(args, options: tuple[str, ...], source: str):
     """Exit 2 on the first of ``options`` given that does nothing for ``source``."""
     for option in options:
@@ -114,6 +121,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     _bounded("--shots", args.shots, 0, MAX_SHOTS)
     if not args.shots:
         _refuse(args, ("--seed",), "simulate without --shots")
+    seed = _seed(args)
     circuit, arch = ser.circuit_from_dict(ser.load_document(args.circuit))
     if args.input is None:
         input_state = None
@@ -135,7 +143,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     if args.shots:
         doc["shots"] = {
             "requested": args.shots,
-            "aux_matches": arch_mod.sample_auxiliary(result, args.shots, args.seed),
+            "aux_matches": arch_mod.sample_auxiliary(result, args.shots, seed),
         }
     return doc, 0
 
@@ -199,7 +207,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             raise _UsageError(f"--n-register: {e}") from None
         checks = certify.verify_random_circuits(arch, args.random_circuits,
                                                 20 if args.gates is None else args.gates,
-                                                args.seed, tol, shape)
+                                                _seed(args), tol, shape)
         kind = "random-circuits"
     else:
         if not args.path:

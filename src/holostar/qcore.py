@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "phase_invariant_distance",
     "density",
     "purity",
-    "embed_operator",
     "wrap_phase",
 ]
 
@@ -230,27 +229,6 @@ def phase_invariant_distance(u, v) -> float:
     alpha = np.angle(np.trace(mu.conj().T @ mv))
     dist = np.linalg.norm(mu - np.exp(-1j * alpha) * mv) / math.sqrt(2 * d)
     return float(min(dist, 1.0))
-
-
-def embed_operator(gate: np.ndarray, targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Full 2^n x 2^n matrix for a small gate acting on the given qubits.
-
-    Gate qubit j (most significant first) lands on global qubit ``targets[j]``;
-    all other qubits get identity factors.
-    """
-    g = np.asarray(gate, dtype=np.complex128)
-    m = len(targets)
-    if g.shape != (1 << m, 1 << m):
-        raise ValueError(f"gate shape {g.shape} does not match {m} target qubits")
-    if len(set(targets)) != m or any(not 0 <= q < n_qubits for q in targets):
-        raise ValueError(f"invalid target qubits {targets} for {n_qubits} qubits")
-    dim = 1 << n_qubits
-    full = np.eye(dim, dtype=np.complex128).reshape((2,) * n_qubits + (dim,))
-    full = np.moveaxis(full, list(targets), range(m))
-    shape = full.shape
-    full = (g @ full.reshape(1 << m, -1)).reshape(shape)
-    full = np.moveaxis(full, range(m), list(targets))
-    return full.reshape(dim, dim)
 
 
 def _isfinite(x) -> bool:

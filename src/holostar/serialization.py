@@ -101,8 +101,12 @@ def _reject_constant(name: str):
 
 
 def loads(text: str):
-    """Parse document text; NaN and Infinity are errors, not numbers."""
-    return json.loads(text, parse_constant=_reject_constant)
+    """Parse document text; NaN and Infinity are errors, not numbers, and so
+    is nesting deeper than the parser's recursion limit."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except RecursionError:
+        raise ValueError("document nests too deeply") from None
 
 
 def load_document(path: str):

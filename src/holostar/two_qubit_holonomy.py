@@ -18,40 +18,21 @@ from itertools import product
 
 import numpy as np
 
-from .pulse import (CouplingSegment, Envelope, _coupling_pair, _unit_hamiltonian,
-                    coupling_hamiltonian, segment_unitary)
+from .pulse import CouplingSegment, Envelope, _coupling_pair, segment_unitary
 from .qcore import Operator, partial_trace, purity
 
 __all__ = [
     "CouplingGateSpec",
     "BlockDecomposition",
     "SubHolonomies",
-    "HolonomyReport",
-    "build_hkl",
-    "double_lambda_matrix",
     "split_blocks",
     "two_qubit_gate",
     "ideal_block",
     "entangling_power",
     "entangling_power_law",
     "transport_norm",
-    "transport_residuals",
-    "verify_parallel_transport",
     "holonomy_decompose",
 ]
-
-# Invariant-subspace index sets in lexicographic (k, a, l) order: the whole
-# aux=0 / aux=1 blocks, then their refinement into the loops that generate
-# the sub-holonomies (bright pair and opposite-corner singlet per block).
-PROJECTOR_INDEX_SETS = {
-    "P_0": (0, 1, 4, 5),
-    "P_1": (2, 3, 6, 7),
-    "P_0^1": (5,),
-    "P_0^2": (1, 4),
-    "P_1^1": (2,),
-    "P_1^2": (3, 6),
-}
-
 
 @dataclass(frozen=True)
 class CouplingGateSpec:
@@ -84,39 +65,6 @@ class SubHolonomies:
 
     blocks: dict[str, np.ndarray]
     reconstruction_residual: float
-
-
-@dataclass(frozen=True)
-class HolonomyReport:
-    """Numerical certificate that the pulse is a parallel-transporting holonomy."""
-
-    projector_residuals: tuple[float, ...]
-    static_residual: float
-
-
-def build_hkl(j_k: float, j_l: float) -> Operator:
-    """The three-spin XY exchange Hamiltonian on (k, a, l), Hermitian-flagged."""
-    return Operator(coupling_hamiltonian(j_k, j_l), hermitian=True)
-
-
-def double_lambda_matrix(j_k: float, j_l: float) -> Operator:
-    """The same Hamiltonian written directly as its two coupling ladders.
-
-    One lambda links |001> and |100> to the apex |010>; the mirrored one
-    links |011> and |110> to |101>.  Kept as an independent construction so
-    the spin-operator route can be cross-checked entry by entry.
-    """
-    h = np.zeros((8, 8), dtype=np.complex128)
-    ket = {"010": 2, "001": 1, "100": 4, "101": 5, "011": 3, "110": 6}
-    for apex, base, j in (
-        ("010", "001", j_l),
-        ("010", "100", j_k),
-        ("101", "011", j_k),
-        ("101", "110", j_l),
-    ):
-        h[ket[apex], ket[base]] += j / 2.0
-        h[ket[base], ket[apex]] += j / 2.0
-    return Operator(h, hermitian=True)
 
 
 def split_blocks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -189,7 +137,12 @@ def entangling_power_law(mix_theta: float) -> float:
     return (2.0 / 9.0) * (1.0 - math.cos(mix_theta) ** 4)
 
 
-# The six invariant-subspace projectors as one (6, 8, 8) stack of 0/1 diagonals.
+# The six invariant-subspace projectors in lexicographic (k, a, l) order, as one
+# (6, 8, 8) stack of 0/1 diagonals: the whole aux=0 / aux=1 blocks, then their
+# refinement into the loops that generate the sub-holonomies (bright pair and
+# opposite-corner singlet per block).
+PROJECTOR_INDEX_SETS = {"P_0": (0, 1, 4, 5), "P_1": (2, 3, 6, 7), "P_0^1": (5,),
+                        "P_0^2": (1, 4), "P_1^1": (2,), "P_1^2": (3, 6)}
 _PROJECTOR_STACK = np.array([np.diag(np.isin(np.arange(8), idx))
                              for idx in PROJECTOR_INDEX_SETS.values()], dtype=np.complex128)
 _PROJECTOR_STACK.setflags(write=False)
@@ -199,40 +152,11 @@ def transport_norm(h_unit: np.ndarray) -> float:
     """max_P ||P H_unit P||_2 over the six projectors, from one batched SVD.
 
     U(t) = exp(-i A(t) H_unit) commutes with H(t) = a(t) H_unit, so the transport
-    residual at t is a(t) times this norm, and the envelope's peak times it at most.
+    residual at t, max_P ||U P U^dag H(t) U P U^dag||_2, is a(t) times this norm,
+    and the envelope's peak times it at most.
     """
     stack = _PROJECTOR_STACK @ h_unit @ _PROJECTOR_STACK
     return float(np.linalg.svd(stack, compute_uv=False).max())
-
-
-def transport_residuals(h_unit: np.ndarray, env: Envelope, samples: int) -> tuple[float, ...]:
-    """max_P ||U P U^dag H(t) U P U^dag||_2 over the six invariant-subspace
-    projectors at the times of ``env.sampled(samples)``, the one sample grid
-    of the package (:meth:`Envelope.sampled`): a(t) times
-    :func:`transport_norm`, however many times are sampled.
-    """
-    norm = transport_norm(h_unit)
-    return tuple(a * norm for _, a in env.sampled(samples))
-
-
-def verify_parallel_transport(spec: CouplingGateSpec, samples: int = 64,
-                              shape: str = "constant") -> HolonomyReport:
-    """Check the parallel-transport condition that makes the coupling pulse a holonomy.
-
-    Statically, every invariant-subspace projector P must satisfy P H P = 0
-    (no energy inside the transported subspace).  Dynamically, the same must
-    hold for the evolved projectors U P U^dag against the instantaneous
-    Hamiltonian at sampled times.  ``projector_residuals`` holds, per sampled
-    time, the worst spectral norm of U P U^dag H(t) U P U^dag over all six
-    projectors, which is a(t) max_P ||P H_unit P||_2 because U(t) commutes
-    with H(t) = a(t) H_unit (:func:`transport_residuals`).
-    """
-    seg = spec.segment(shape)
-    h_unit = _unit_hamiltonian(seg)
-    return HolonomyReport(
-        projector_residuals=transport_residuals(h_unit, seg.envelope, samples),
-        static_residual=float(np.abs(_PROJECTOR_STACK @ h_unit @ _PROJECTOR_STACK).max()),
-    )
 
 
 def holonomy_decompose(dec: BlockDecomposition) -> SubHolonomies:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holostar import kernels
+from holostar import architecture, kernels, pulse
 from holostar.architecture import (
     MAX_REGISTER,
     Circuit,
@@ -14,7 +14,6 @@ from holostar.architecture import (
     RotationGate,
     StarArchitecture,
     compile_circuit,
-    ideal_unitary,
     random_circuit,
     sample_auxiliary,
     simulate,
@@ -24,7 +23,7 @@ from holostar.qcore import StateVector, basis_state, density, ket, partial_trace
 from holostar.single_qubit_holonomy import RotationTarget, target_unitary
 from holostar.two_qubit_holonomy import ideal_block
 
-from conftest import dense_post_selected, haar_state
+from conftest import dense_post_selected, gate_product, haar_state, phase_aligned_deviation
 
 
 def rot(q, theta, phi, dphi):
@@ -78,12 +77,10 @@ def test_compile_structure():
 
 def test_compile_rejects_out_of_range_gates():
     arch = StarArchitecture(2)
-    # and so does the gate-matrix reference
-    for lower in (compile_circuit, ideal_unitary):
-        with pytest.raises(ValueError):
-            lower(Circuit((rot(2, 1.0, 0.0, 0.0),)), arch)
-        with pytest.raises(ValueError):
-            lower(Circuit((EntanglingGate((0, 3), 1.0),)), arch)
+    with pytest.raises(ValueError):
+        compile_circuit(Circuit((rot(2, 1.0, 0.0, 0.0),)), arch)
+    with pytest.raises(ValueError):
+        compile_circuit(Circuit((EntanglingGate((0, 3), 1.0),)), arch)
 
 
 def test_simulate_empty_circuit(rng):
@@ -133,16 +130,28 @@ def test_auxiliary_state_one_realizes_the_other_block():
         assert abs(abs(overlap) - 1.0) < 1e-9
 
 
+def oracle_unitary(circuit, arch):
+    """The circuit's ideal unitary, column by column from the benchmark's
+    gate-matrix oracle."""
+    dim = 1 << arch.n_register
+    return np.column_stack([gate_product(circuit, arch.auxiliary_state, col)
+                            for col in np.eye(dim, dtype=np.complex128)])
+
+
 def test_ideal_unitary_examples():
+    # the oracle's gate product against the package's own gate matrices
     arch = StarArchitecture(2)
-    assert np.allclose(ideal_unitary(Circuit(()), arch).matrix, np.eye(4))
+    assert np.allclose(oracle_unitary(Circuit(()), arch), np.eye(4))
 
     t = RotationTarget(1.0, 0.3, 0.8)
-    got = ideal_unitary(Circuit((rot(1, 1.0, 0.3, 0.8),)), arch).matrix
+    got = oracle_unitary(Circuit((rot(1, 1.0, 0.3, 0.8),)), arch)
     assert np.allclose(got, np.kron(np.eye(2), target_unitary(t).matrix))
 
-    got = ideal_unitary(Circuit((EntanglingGate((0, 1), 0.0),)), arch).matrix
+    got = oracle_unitary(Circuit((EntanglingGate((0, 1), 0.0),)), arch)
     assert np.allclose(got, np.diag([1, 1, -1, -1]))
+    for aux in (0, 1):
+        got = oracle_unitary(Circuit((EntanglingGate((0, 1), 1.1),)), StarArchitecture(2, aux))
+        assert np.allclose(got, ideal_block(1.1, aux))
 
 
 def test_ideal_unitary_matches_simulation(rng):
@@ -150,9 +159,34 @@ def test_ideal_unitary_matches_simulation(rng):
     circuit = random_circuit(3, 8, rng)
     psi = StateVector(haar_state(8, rng))
     res = simulate(circuit, arch, psi)
-    want = ideal_unitary(circuit, arch).matrix @ psi.amplitudes
+    want = oracle_unitary(circuit, arch) @ psi.amplitudes
     overlap = abs(np.vdot(res.register_state.amplitudes, want))
     assert abs(overlap - 1.0) < 1e-9
+
+
+@given(st.integers(1, 6), st.sampled_from([0, 1]), st.sampled_from(["constant", "sin_squared"]),
+       st.integers(0, 30), st.integers(0, 2**32 - 1), st.data())
+def test_simulate_matches_the_benchmark_gate_matrix_oracle(n, aux, shape, n_gates, seed, data):
+    circuit = random_circuit(n, n_gates, np.random.default_rng(seed))
+    psi = basis_state(n, data.draw(st.integers(0, 2**n - 1)))
+    res = simulate(circuit, StarArchitecture(n, aux), psi, shape)
+    want = gate_product(circuit, aux, psi.amplitudes)
+    assert phase_aligned_deviation(res.register_state.amplitudes, want) <= 1e-12
+
+
+def test_a_mutant_that_moves_both_routes_passes_simulate_but_not_the_oracle(monkeypatch):
+    # flip the sign of the J_l exchange term in the pulse Hamiltonian, and
+    # the matching closed-form block simulate's own reference reads (J_l ->
+    # -J_l is mix_theta -> -mix_theta there): the self-check cannot see it
+    hamiltonian, block = pulse.coupling_hamiltonian, architecture.ideal_block
+    monkeypatch.setattr(pulse, "coupling_hamiltonian", lambda j_k, j_l: hamiltonian(j_k, -j_l))
+    monkeypatch.setattr(architecture, "ideal_block", lambda mix, aux: block(-mix, aux))
+    circuit = random_circuit(3, 20, np.random.default_rng(8))
+    res = simulate(circuit, StarArchitecture(3))
+    assert 1.0 - res.aux_match_probability <= 1e-10
+    assert 1.0 - res.ideal_fidelity <= 1e-9
+    want = gate_product(circuit, 0, basis_state(3, 0).amplitudes)
+    assert 1.0 - abs(np.vdot(res.register_state.amplitudes, want)) ** 2 > 0.5
 
 
 @given(st.integers(1, 6), st.sampled_from([0, 1]), st.sampled_from(["constant", "sin_squared"]),

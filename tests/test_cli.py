@@ -221,12 +221,21 @@ def test_verify_rejects_fewer_than_two_samples(capsys, tmp_path, samples):
 @pytest.mark.parametrize("argv", [
     ("--random-circuits", "-1"),
     ("--random-circuits", "1", "--gates", "-1"),
-], ids=["negative-circuits", "negative-gates"])
+    ("--random-circuits", "2", "--seed", "-1"),
+], ids=["negative-circuits", "negative-gates", "negative-seed"])
 def test_verify_rejects_negative_counts(capsys, argv):
-    # a negative count used to certify zero checks as "passed": true
+    # a negative count used to certify zero checks as "passed": true, and a
+    # negative seed gave numpy's message, which names no option
     code, out, err = run(capsys, "verify", *argv)
     assert_one_line_usage_error(code, out, err)
     assert argv[-2] in err
+
+
+def test_simulate_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "simulate", "--circuit", str(GOLDEN / "circuit_n3.json"),
+                         "--shots", "5", "--seed", "-4")
+    assert_one_line_usage_error(code, out, err)
+    assert "--seed" in err
 
 
 def test_verify_rejects_schedule_without_segments(capsys, tmp_path):
@@ -468,6 +477,19 @@ def assert_one_line_usage_error(code, out, err):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":' * 3000 + "1" + "}" * 3000,
+    "[" * 200_000 + "]" * 200_000,
+], ids=["object", "array"])
+@pytest.mark.parametrize("argv", [("verify",), ("simulate", "--circuit")],
+                         ids=["verify", "simulate"])
+def test_a_deeply_nested_document_is_a_usage_error(capsys, tmp_path, text, argv):
+    # the parser's RecursionError used to escape as a traceback with exit 1
+    code, out, err = run_document(capsys, tmp_path, text, *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert "nests too deeply" in err
 
 
 ROTATION_NAN_PHI = ('{"n_register": 1, "auxiliary_state": 0, "gates": '

@@ -4,9 +4,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from holostar import kernels
-from holostar.qcore import embed_operator
 
-from conftest import haar_state, random_unitary
+from conftest import embed_operator, haar_state, random_unitary
+
+
+def test_embed_operator_against_kron():
+    g = np.array([[1, 2], [3, 4]], dtype=complex)
+    assert np.allclose(embed_operator(g, (0,), 2), np.kron(g, np.eye(2)))
+    assert np.allclose(embed_operator(g, (1,), 2), np.kron(np.eye(2), g))
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    # control on qubit 1, target on qubit 0 == swapped-wire CNOT
+    got = embed_operator(cnot, (1, 0), 2)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    assert np.allclose(got, swap @ cnot @ swap)
+    with pytest.raises(ValueError):
+        embed_operator(g, (0, 1), 2)
+    with pytest.raises(ValueError):
+        embed_operator(g, (2,), 2)
 
 
 def _oracle(state, gate, targets, n):

@@ -19,7 +19,6 @@ from holostar.pulse import (
 from holostar.qcore import (
     Operator,
     StateVector,
-    embed_operator,
     ket,
 )
 
@@ -27,6 +26,7 @@ from conftest import (
     SX,
     SY,
     dense_post_selected,
+    embed_operator,
     envelope_amplitude,
     envelope_partial_area,
     haar_state,

@@ -16,7 +16,6 @@ from holostar.qcore import (
     StateVector,
     basis_state,
     density,
-    embed_operator,
     ket,
     partial_trace,
     phase_invariant_distance,
@@ -347,21 +346,6 @@ def test_phase_invariant_distance_no_rounding_floor(rng):
 def test_phase_invariant_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         phase_invariant_distance(np.eye(2), np.eye(4))
-
-
-def test_embed_operator_against_kron():
-    g = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.allclose(embed_operator(g, (0,), 2), np.kron(g, np.eye(2)))
-    assert np.allclose(embed_operator(g, (1,), 2), np.kron(np.eye(2), g))
-    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    # control on qubit 1, target on qubit 0 == swapped-wire CNOT
-    got = embed_operator(cnot, (1, 0), 2)
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    assert np.allclose(got, swap @ cnot @ swap)
-    with pytest.raises(ValueError):
-        embed_operator(g, (0, 1), 2)
-    with pytest.raises(ValueError):
-        embed_operator(g, (2,), 2)
 
 
 def test_wrap_phase():

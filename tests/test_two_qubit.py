@@ -6,27 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holostar.pulse import CouplingSegment, Envelope, coupling_hamiltonian, segment_unitary
+from holostar.certify import verify_schedule
+from holostar.pulse import (CouplingSegment, Envelope, PulseSchedule, coupling_hamiltonian,
+                            segment_unitary)
 from holostar.qcore import Operator, StateVector, density, partial_trace, purity
 from holostar.two_qubit_holonomy import (
     _PRODUCT_INPUTS,
     BlockDecomposition,
     CouplingGateSpec,
-    build_hkl,
-    double_lambda_matrix,
     entangling_power,
     entangling_power_law,
     holonomy_decompose,
     ideal_block,
     split_blocks,
     transport_norm,
-    transport_residuals,
     two_qubit_gate,
-    verify_parallel_transport,
 )
 
-from conftest import (einsum_partial_trace, envelope_amplitude, envelope_partial_area,
-                      random_unitary)
+from conftest import (ORACLE_PROJECTORS, double_lambda_matrix, einsum_partial_trace,
+                      envelope_amplitude, envelope_partial_area, random_unitary,
+                      static_transport_residual)
 
 mix_angles = st.floats(0.0, math.pi)
 
@@ -69,12 +68,12 @@ def test_spec_validation():
     assert seg.envelope.area == math.tau  # half the coupling area equals pi
 
 
-def test_build_hkl_zero():
-    assert np.max(np.abs(build_hkl(0.0, 0.0).matrix)) == 0.0
+def test_coupling_hamiltonian_zero():
+    assert np.max(np.abs(coupling_hamiltonian(0.0, 0.0))) == 0.0
 
 
-def test_build_hkl_ladder_entries():
-    h = build_hkl(2.0, 0.0).matrix
+def test_coupling_hamiltonian_ladder_entries():
+    h = coupling_hamiltonian(2.0, 0.0)
     assert h[2, 4] == 1.0  # <010|H|100> = J_k/2
     assert h[5, 3] == 1.0  # <101|H|011> = J_k/2
     assert np.max(np.abs(h - h.conj().T)) == 0.0
@@ -83,7 +82,7 @@ def test_build_hkl_ladder_entries():
 
 
 def test_corner_states_decouple():
-    h = build_hkl(1.7, 0.9).matrix
+    h = coupling_hamiltonian(1.7, 0.9)
     assert np.max(np.abs(h[0, :])) == 0.0 and np.max(np.abs(h[:, 0])) == 0.0
     assert np.max(np.abs(h[7, :])) == 0.0 and np.max(np.abs(h[:, 7])) == 0.0
 
@@ -91,7 +90,7 @@ def test_corner_states_decouple():
 def test_spin_form_equals_ladder_form(rng):
     for _ in range(10):
         j_k, j_l = rng.uniform(-3, 3, size=2)
-        diff = build_hkl(j_k, j_l).matrix - double_lambda_matrix(j_k, j_l).matrix
+        diff = coupling_hamiltonian(j_k, j_l) - double_lambda_matrix(j_k, j_l)
         assert np.max(np.abs(diff)) <= 1e-15
 
 
@@ -254,13 +253,16 @@ class TestEntanglingPower:
 
 class TestParallelTransport:
     def test_statics_are_exact(self):
-        rep = verify_parallel_transport(CouplingGateSpec(1.234), samples=4)
-        assert rep.static_residual == 0.0
+        h = coupling_hamiltonian(math.cos(1.234 / 2), math.sin(1.234 / 2))
+        assert static_transport_residual(h) == 0.0
 
     def test_transport_residuals(self):
-        rep = verify_parallel_transport(CouplingGateSpec(math.pi / 4), samples=64)
-        assert len(rep.projector_residuals) == 64
-        assert max(rep.projector_residuals) <= 1e-9
+        # the exact supremum over the pulse, as ``verify`` reports it
+        for shape in ("constant", "sin_squared"):
+            schedule = PulseSchedule((CouplingGateSpec(math.pi / 4).segment(shape),), 2)
+            [record] = [c for c in verify_schedule(schedule)
+                        if c["name"] == "transport_residual"]
+            assert record["pass"] and record["value"] <= 1e-9
 
     def test_sub_holonomy_values(self):
         dec = two_qubit_gate(CouplingGateSpec(math.pi / 2))
@@ -269,17 +271,6 @@ class TestParallelTransport:
         assert np.allclose(sub.blocks["C_1^1"], [[-1]], atol=1e-10)
         assert np.allclose(sub.blocks["C_0^2"], [[0, -1], [-1, 0]], atol=1e-10)
         assert abs(entangling_power(dec.u0) - 2.0 / 9.0) < 1e-10
-
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            verify_parallel_transport(CouplingGateSpec(1.0), samples=1)
-
-
-# The six invariant-subspace projectors, written out independently of the module.
-ORACLE_PROJECTORS = {name: np.diag([1.0 if i in idx else 0.0 for i in range(8)])
-                     for name, idx in {"P_0": (0, 1, 4, 5), "P_1": (2, 3, 6, 7),
-                                       "P_0^1": (5,), "P_0^2": (1, 4),
-                                       "P_1^1": (2,), "P_1^2": (3, 6)}.items()}
 
 
 def _sampled_transport_oracle(h_unit, env, samples):
@@ -315,15 +306,17 @@ def _seeded_directions():
 
 @pytest.mark.parametrize("shape", ["constant", "sin_squared"])
 def test_transport_residuals_match_sampled_propagation(shape):
-    # A random Hermitian direction has a nonzero residual, so a helper that
-    # dropped a(t) or the dominant projector would disagree with the oracle.
+    # A random Hermitian direction has a nonzero residual, so a norm that
+    # missed the dominant projector would disagree with the oracle; a(t) times
+    # the norm is the residual at every sampled time.
     dominant = set()
     for h_unit, area, duration in _seeded_directions():
         env = Envelope(area, shape, duration)
-        got = np.array(transport_residuals(h_unit, env, 64))
+        norm = transport_norm(h_unit)
         want, argmax = _sampled_transport_oracle(h_unit, env, 64)
-        assert got.shape == (64,)
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(want)
+        got = [envelope_amplitude(env, t) * norm for t in np.linspace(0.0, duration, 64)]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * max(want)
+        assert max(want) <= env.peak * norm * (1 + 1e-12)
         dominant.update(argmax)
     # both block projectors dominate somewhere; the four refinements never can,
     # since P' <= P gives ||P' H P'|| <= ||P H P||
@@ -341,16 +334,18 @@ def test_batched_transport_norm_equals_per_projector_norms():
 
 @pytest.mark.parametrize("shape", ["constant", "sin_squared"])
 def test_peak_times_transport_norm_is_the_supremum(shape):
-    # peak * norm bounds every sampled residual, and equals the largest one
-    # whenever the grid holds the peak: at every time for a constant envelope,
-    # and at t = duration/2 (the middle of 3 samples) for sin^2
-    exact_grids = (2, 3, 64) if shape == "constant" else (3,)
+    # peak * norm, what ``verify`` reports, bounds every sampled residual, and
+    # equals the largest one whenever the grid holds the peak: at every time
+    # for a constant envelope, and at t = duration/2 (the middle of 3 samples)
+    # for sin^2
     for h_unit, area, duration in _seeded_directions():
         env = Envelope(area, shape, duration)
         sup = env.peak * transport_norm(h_unit)
-        assert sup >= max(transport_residuals(h_unit, env, 64))
-        for samples in exact_grids:
-            assert max(transport_residuals(h_unit, env, samples)) == sup
+        for samples in (2, 3, 64):
+            worst = max(_sampled_transport_oracle(h_unit, env, samples)[0])
+            assert worst <= sup * (1 + 1e-12)
+            if shape == "constant" or samples == 3:
+                assert abs(worst - sup) <= 1e-12 * sup
 
 
 class TestHolonomyDecompose:
