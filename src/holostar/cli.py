@@ -33,7 +33,6 @@ VERIFY_ERROR = 1
 
 # Upper bounds on the size arguments, so no option asks for an unbounded allocation.
 MAX_GRID = 10_000  # ep-sweep angles
-MAX_SAMPLES = 10_000  # time samples per segment
 MAX_GATES = 10_000  # gates per random circuit
 MAX_RANDOM_CIRCUITS = 10_000
 MAX_SHOTS = 10**15  # numpy's binomial sampler takes a C long
@@ -149,11 +148,9 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 
 def cmd_phase_report(args) -> tuple[dict, int]:
-    _bounded("--samples", args.samples, 2, MAX_SAMPLES)
     target = RotationTarget(args.theta, args.phi, args.dphi)
-    report = sq.geometric_phase(target, samples=args.samples, shape=args.shape)
-    ortho = sq.geometric_phase(target, state=target.orthogonal_state(),
-                               samples=args.samples, shape=args.shape)
+    report = sq.geometric_phase(target, shape=args.shape)
+    ortho = sq.geometric_phase(target, state=target.orthogonal_state(), shape=args.shape)
     doc = {
         "command": "phase-report",
         "target": {"theta": target.theta, "phi": target.phi, "dphi": target.dphi},
@@ -191,8 +188,6 @@ def cmd_ep_sweep(args) -> tuple[object, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     tol = _resolve_tolerances(args.tol)
-    if args.samples is not None:
-        _bounded("--samples", args.samples, 2, MAX_SAMPLES)
     if args.gates is not None:
         _bounded("--gates", args.gates, 0, MAX_GATES)
     _bounded("--random-circuits", args.random_circuits, 0, MAX_RANDOM_CIRCUITS)
@@ -200,7 +195,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.random_circuits:
         if args.path is not None:
             raise _UsageError("verify takes a document path or --random-circuits N, not both")
-        _refuse(args, ("--samples",), "--random-circuits")
         try:
             arch = arch_mod.StarArchitecture(3 if args.n_register is None else args.n_register)
         except ValueError as e:
@@ -220,10 +214,8 @@ def cmd_verify(args) -> tuple[dict, int]:
             schedule = ser.schedule_from_dict(doc)
             if not schedule.segments:
                 raise _UsageError("schedule document has no segments to verify")
-            checks = certify.verify_schedule(schedule, tol,
-                                             64 if args.samples is None else args.samples)
+            checks = certify.verify_schedule(schedule, tol)
         else:
-            _refuse(args, ("--samples",), "a circuit document")
             circuit, arch = ser.circuit_from_dict(doc)
             checks = certify.verify_circuit(circuit, arch, tol, shape)
     passed = all(c["pass"] for c in checks)
@@ -271,8 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", default=None,
                    help="schedule or circuit document ('-' for stdin)")
     # None = not given, so an option that changes nothing is refused, not dropped
-    p.add_argument("--samples", type=int, default=None,
-                   help="phase-trace samples per segment of a schedule (default 64)")
     p.add_argument("--shape", default=None, choices=ENVELOPE_SHAPES,
                    help="pulse envelope for a circuit (default constant)")
     p.add_argument("--random-circuits", type=int, default=0, metavar="N",
@@ -293,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--phi", type=float, default=0.0)
     p.add_argument("--dphi", type=float, required=True)
-    p.add_argument("--samples", type=int, default=64)
     p.add_argument("--shape", default="constant", choices=ENVELOPE_SHAPES)
     common(p, cmd_phase_report)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .qcore import _EYE, _PAULI, Operator, StateVector, _isfinite
+from .qcore import _EYE, _PAULI, Operator, StateVector, _isfinite, _shown
 
 __all__ = [
     "Envelope",
@@ -42,7 +42,7 @@ class Envelope:
 
     def __post_init__(self):
         if self.shape not in ENVELOPE_SHAPES:
-            raise ValueError(f"unknown envelope shape {self.shape!r}")
+            raise ValueError(f"unknown envelope shape {_shown(self.shape)}")
         if not (_isfinite(self.area) and self.area >= 0):
             raise ValueError(f"envelope area must be finite and nonnegative, got {self.area}")
         if not (_isfinite(self.duration) and self.duration > 0):
@@ -56,22 +56,6 @@ class Envelope:
         """The largest amplitude, held throughout a constant envelope and
         reached at t = duration/2 by sin_squared (twice the mean amplitude)."""
         return (1.0 if self.shape == "constant" else 2.0) * self.area / self.duration
-
-    def sampled(self, samples: int) -> list[tuple[float, float]]:
-        """``samples`` evenly spaced ``(t, a(t))`` pairs, ends included.
-
-        Sample j sits at ``duration * (j / (samples - 1))``, so the last one is
-        exactly ``duration``.  The amplitude a(t) is :attr:`peak` throughout a
-        constant envelope and ``peak * sin(pi t / duration)**2`` for sin_squared.
-        """
-        if samples < 2:
-            raise ValueError(f"need at least 2 samples, got {samples}")
-        d = self.duration
-        times = [d * (j / (samples - 1)) for j in range(samples)]
-        peak = self.peak
-        if self.shape == "constant":
-            return [(t, peak) for t in times]
-        return [(t, peak * math.sin(math.pi * t / d) ** 2) for t in times]
 
 
 @dataclass(frozen=True)
@@ -189,78 +173,59 @@ def segment_unitary(seg: Segment) -> Operator:
     return Operator(_propagator(_unit_hamiltonian(seg), seg.envelope.area), unitary=True)
 
 
-def _local_targets(seg: Segment, psi: StateVector) -> tuple[int, ...]:
-    """The qubits of a segment's own local state: one for a field segment,
-    three (k, aux, l) for a coupling segment."""
-    if isinstance(seg, FieldSegment) and psi.n_qubits == 1:
-        return (0,)
-    if isinstance(seg, CouplingSegment) and psi.n_qubits == 3:
-        return (0, 1, 2)
-    raise ValueError(f"state on {psi.n_qubits} qubits matches neither the "
-                     "1-qubit field nor the 3-qubit coupling segment size")
+def _register_copy(schedule: PulseSchedule, psi: StateVector) -> np.ndarray:
+    """A working copy of ``psi``, which must be the schedule's n-qubit register."""
+    if psi.n_qubits != schedule.n_register:
+        raise ValueError(f"expected the register of {schedule.n_register} qubits, "
+                         f"got {psi.n_qubits} qubits")
+    return np.array(psi.amplitudes, copy=True)
 
 
-def evolve(schedule: PulseSchedule, psi: StateVector,
-           aux_state: int | None = None) -> StateVector | np.ndarray:
-    """Apply every segment propagator of the schedule to the state, in order.
+def evolve(schedule: PulseSchedule, psi: StateVector, aux_state: int = 0) -> np.ndarray:
+    """Apply every segment propagator of the schedule to the register, in order.
 
-    Without ``aux_state``, ``psi`` is the segments' own local state (see
-    :func:`_local_targets`) and the evolved state is returned.  With it,
-    ``psi`` is the n-qubit register and the auxiliary sits in
-    ``|aux_state>``: a field segment applies its 2x2 propagator to its
-    qubit, and a coupling segment the 4x4 block of its own (k, aux, l)
-    propagator that takes the auxiliary from ``|aux_state>`` back to it,
-    to (k, l).  The returned amplitudes are those left in that block, not
-    renormalized: their squared norm is the probability of finding the
-    auxiliary back in its prepared state.  (For one segment the block D
-    and the leak B out of it satisfy D^dag D = I - B^dag B; leaked amplitude
-    that a later segment would carry back is dropped.)
+    ``psi`` is the n-qubit register and the auxiliary sits in ``|aux_state>``:
+    a field segment applies its 2x2 propagator to its qubit, and a coupling
+    segment the 4x4 block of its own (k, aux, l) propagator that takes the
+    auxiliary from ``|aux_state>`` back to it, to (k, l).  The returned
+    amplitudes are those left in that block, not renormalized: their squared
+    norm is the probability of finding the auxiliary back in its prepared
+    state.  (For one segment the block D and the leak B out of it satisfy
+    D^dag D = I - B^dag B; leaked amplitude that a later segment would carry
+    back is dropped.)  Field segments alone never touch the auxiliary.
     """
-    if aux_state is None and not schedule.segments:
-        return psi
-    n = schedule.n_register
-    if aux_state is not None and (aux_state not in (0, 1) or psi.n_qubits != n):
-        raise ValueError(f"expected the register of {n} qubits and auxiliary state 0 or 1, "
-                         f"got {psi.n_qubits} qubits and {aux_state}")
-    amps = np.array(psi.amplitudes, copy=True)
+    if aux_state not in (0, 1):
+        raise ValueError(f"expected auxiliary state 0 or 1, got {aux_state}")
+    amps = _register_copy(schedule, psi)
     for seg in schedule.segments:
         u = segment_unitary(seg).matrix
-        if aux_state is None:
-            targets = _local_targets(seg, psi)
-        elif isinstance(seg, FieldSegment):
+        if isinstance(seg, FieldSegment):
             targets = (seg.qubit,)
         else:  # the aux-to-aux block of the (k, aux, l) propagator, on (k, l)
             u = u.reshape((2,) * 6)[:, aux_state, :, :, aux_state, :].reshape(4, 4)
             targets = seg.pair
         kernels.apply_gate_inplace(amps, u, targets)
-    return amps if aux_state is not None else StateVector._adopt(amps)
+    return amps
 
 
-def expectation_trace(schedule: PulseSchedule, psi: StateVector,
-                      samples: int = 64) -> list[tuple[float, float]]:
-    """Sampled <psi(t)| H(t) |psi(t)> along the schedule.
+def expectation_trace(schedule: PulseSchedule, psi: StateVector) -> list[tuple[float, float]]:
+    """The energy <psi(t)| H(t) |psi(t)> on the register along a schedule of
+    field segments, as one exact ``(peak * E_k, area * E_k)`` pair per segment.
 
-    Returns ``samples`` points per segment as (global time, expectation)
-    pairs on the segment's :meth:`Envelope.sampled` grid, the one sample grid
-    of the package, so the last sample of each segment falls exactly on its
-    end.  Within a segment H(t) = a(t) H_unit and the propagator
-    U(t) = exp(-i A(t) H_unit) commutes with H_unit, so
-    <psi(t)|H(t)|psi(t)> = a(t) <psi_k|H_unit|psi_k> with psi_k the state at
-    the segment's start.  One energy per segment
-    therefore gives every sample, and the values are exact for the
-    piecewise-constant-direction Hamiltonian, not a discretization.
+    Within a segment H(t) = a(t) H_unit and U(t) = exp(-i A(t) H_unit)
+    commutes with H_unit, so <psi(t)|H(t)|psi(t)> = a(t) E_k, with
+    E_k = <psi_k|H_unit|psi_k> the energy of the segment's start state: its
+    largest magnitude is at the envelope's peak and its integral is the area
+    times E_k, with no time grid.  A coupling segment is refused.
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples per segment, got {samples}")
-    amps = np.array(psi.amplitudes, copy=True)
+    amps = _register_copy(schedule, psi)
     out: list[tuple[float, float]] = []
-    t0 = 0.0
     for seg in schedule.segments:
-        targets = _local_targets(seg, psi)
+        if not isinstance(seg, FieldSegment):
+            raise ValueError(f"expected field segments only, got a {type(seg).__name__}")
         h_unit = _unit_hamiltonian(seg)
-        energy = float(np.vdot(amps, kernels.apply_gate(amps, h_unit, targets)).real)
+        energy = float(np.vdot(amps, kernels.apply_gate(amps, h_unit, (seg.qubit,))).real)
         env = seg.envelope
-        out.extend((t0 + t, a * energy) for t, a in env.sampled(samples))
-        kernels.apply_gate_inplace(amps, _propagator(h_unit, env.area), targets)
-        t0 += env.duration
+        out.append((env.peak * energy, env.area * energy))
+        kernels.apply_gate_inplace(amps, _propagator(h_unit, env.area), (seg.qubit,))
     return out

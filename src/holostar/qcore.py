@@ -113,7 +113,7 @@ class StateVector:
     @classmethod
     def _adopt(cls, a: np.ndarray) -> "StateVector":
         """The state over the fresh complex128 vector ``a`` itself, frozen and
-        checked like any other: how ``evolve`` and ``simulate`` hand over a working vector.
+        checked like any other: how ``simulate`` hands over its working vector.
         (A copy made ``sim-wide`` 6-10% slower, through glibc heap trimming.)"""
         a.setflags(write=False)
         psi = cls.__new__(cls)
@@ -138,9 +138,6 @@ class StateVector:
     @property
     def n_qubits(self) -> int:
         return (self.amplitudes.size - 1).bit_length()
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 _PAULI = {
@@ -237,6 +234,12 @@ def _isfinite(x) -> bool:
         return math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _shown(value) -> str:
+    """repr(value) for an error line, cut to 60 characters and an ellipsis."""
+    r = repr(value)
+    return r if len(r) <= 60 else r[:60] + "..."
 
 
 def wrap_phase(x: float) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .architecture import Circuit, EntanglingGate, RotationGate, StarArchitecture
 from .pulse import CouplingSegment, Envelope, FieldSegment, PulseSchedule
+from .qcore import _shown
 from .single_qubit_holonomy import RotationTarget
 
 __all__ = [
@@ -125,7 +126,7 @@ def _require_keys(d: dict, required: set[str], what: str):
         if missing:
             parts.append(f"missing {sorted(missing)}")
         if extra:
-            parts.append(f"unknown {sorted(extra)}")
+            parts.append(f"unknown {_shown(sorted(extra))}")
         raise ValueError(f"{what}: {', '.join(parts)}")
 
 
@@ -135,7 +136,7 @@ def _get(d, key, where: str, kind: type = float):
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, kind)) or not abs(v) <= sys.float_info.max:
         want = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"{where} {key} must be {want}, got {v!r}")
+        raise ValueError(f"{where} {key} must be {want}, got {_shown(v)}")
     return kind(v)
 
 
@@ -193,7 +194,7 @@ def schedule_from_dict(d: dict) -> PulseSchedule:
                                     _get(pair, 1, f"{where} pair", int)),
                                    _get(sd, "mix_theta", where), _envelope(sd, where)))
         else:
-            raise ValueError(f"segment {i}: unknown kind {kind!r}")
+            raise ValueError(f"segment {i}: unknown kind {_shown(kind)}")
     return PulseSchedule(tuple(segments), _get(d, "n_register", "schedule document", int))
 
 
@@ -232,8 +233,8 @@ def circuit_from_dict(d: dict) -> tuple[Circuit, StarArchitecture]:
         elif "k" in gd:
             where = f"entangling gate {i}"
             _require_keys(gd, {"k", "l", "theta"}, where)
-            gates.append(EntanglingGate((_get(gd, "k", where, int), _get(gd, "l", where, int)),
-                                        _get(gd, "theta", where)))
+            pair = (_get(gd, "k", where, int), _get(gd, "l", where, int))
+            gates.append(_build(where, EntanglingGate, pair, _get(gd, "theta", where)))
         else:
             raise ValueError(f"gate {i}: expected either a 'qubit' or a 'k'/'l' entry")
     return Circuit(tuple(gates)), arch

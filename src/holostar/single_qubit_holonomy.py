@@ -75,7 +75,7 @@ class GeometricPhaseReport:
 
     ``total_phase`` is arg<psi|psi_final>; ``dynamical_phase`` is minus the
     time integral of the energy expectation; ``geometric_phase`` is their
-    difference wrapped to (-pi, pi]; ``max_integrand`` is the largest sampled
+    difference wrapped to (-pi, pi]; ``max_integrand`` is the supremum of
     |<H>| along the way; ``cyclicity_deviation`` is 1 - |<psi|psi_final>|,
     how far the state is from returning to itself.
     """
@@ -126,31 +126,26 @@ def verify_synthesis(target: RotationTarget) -> float:
 
 
 def geometric_phase(target: RotationTarget, state: StateVector | None = None,
-                    samples: int = 64, shape: str = "constant") -> GeometricPhaseReport:
+                    shape: str = "constant") -> GeometricPhaseReport:
     """Transport a state through the synthesized schedule and split its phase.
 
     With no explicit state the target's own Bloch state is transported (it
     returns to itself with phase +dphi); its orthogonal partner acquires
-    -dphi.  The dynamical part is a trapezoid-rule integral of the sampled
-    energy expectation and vanishes for the synthesized drive phases.  The
-    samples come from :func:`expectation_trace`, which uses that each segment
-    propagator commutes with its Hamiltonian direction: the energy at time t
-    is the envelope amplitude a(t) times the segment's start-state energy, so
-    the sampled values are exact and only the time integral is a quadrature.
+    -dphi.  The dynamical part, minus the time integral of the energy
+    expectation, vanishes for the synthesized drive phases; it and the
+    largest |<H>| are exact, read off :func:`expectation_trace`'s pairs.
     """
     if state is None:
         state = target.bloch_state()
     sched = synthesize(target, shape=shape)
-    overlap = state.overlap(evolve(sched, state))
+    overlap = complex(np.vdot(state.amplitudes, evolve(sched, state)))
     total = float(np.angle(overlap))
-    trace = expectation_trace(sched, state, samples=samples)
-    times = np.array([t for t, _ in trace])
-    values = np.array([v for _, v in trace])
-    dyn = -float(np.trapezoid(values, times))
+    trace = expectation_trace(sched, state)
+    dyn = -sum(integral for _, integral in trace)
     return GeometricPhaseReport(
         total_phase=total,
         dynamical_phase=dyn,
         geometric_phase=wrap_phase(total - dyn),
-        max_integrand=float(np.max(np.abs(values))),
+        max_integrand=max(abs(peak) for peak, _ in trace),
         cyclicity_deviation=abs(1.0 - abs(overlap)),
     )

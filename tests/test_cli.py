@@ -210,14 +210,6 @@ def test_leakage_is_judged_by_the_off_block_tolerance_alone(capsys, tmp_path):
     assert all(c["pass"] for c in checks)
 
 
-@pytest.mark.parametrize("samples", ["0", "1"])
-def test_verify_rejects_fewer_than_two_samples(capsys, tmp_path, samples):
-    code, out, err = run(capsys, "verify", write_coupling_schedule(tmp_path),
-                         "--samples", samples)
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "samples" in err
-
-
 @pytest.mark.parametrize("argv", [
     ("--random-circuits", "-1"),
     ("--random-circuits", "1", "--gates", "-1"),
@@ -247,14 +239,11 @@ def test_verify_rejects_schedule_without_segments(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, option, limit", [
     (("ep-sweep", "--grid"), "--grid", cli.MAX_GRID),
-    (("verify", "--random-circuits", "1", "--samples"), "--samples", cli.MAX_SAMPLES),
-    (("phase-report", "--theta", "1", "--dphi", "1", "--samples"), "--samples",
-     cli.MAX_SAMPLES),
     (("verify", "--random-circuits", "1", "--gates"), "--gates", cli.MAX_GATES),
     (("verify", "--random-circuits"), "--random-circuits", cli.MAX_RANDOM_CIRCUITS),
     # beyond a C long, numpy's binomial sampler raised OverflowError with a traceback
     (("simulate", "--circuit", "-", "--shots"), "--shots", cli.MAX_SHOTS),
-], ids=["grid", "verify-samples", "phase-report-samples", "gates", "random-circuits", "shots"])
+], ids=["grid", "gates", "random-circuits", "shots"])
 def test_size_arguments_are_bounded(capsys, argv, option, limit):
     # only ever the maximum plus one: it must be refused before anything is allocated
     code, out, err = run(capsys, *argv, str(limit + 1))
@@ -270,6 +259,13 @@ def test_unbuildable_segment_is_named(capsys, tmp_path):
     code, out, err = run_document(capsys, tmp_path, text, "verify")
     assert_one_line_usage_error(code, out, err)
     assert "coupling segment 0: " in err and "duration" in err
+    # an entangling gate of a circuit is named the same way
+    for gate, detail in (({"k": 0, "l": 0, "theta": 1}, "distinct qubits"),
+                         ({"k": 0, "l": 1, "theta": 4}, "mixing angle")):
+        code, out, err = run_document(capsys, tmp_path, circuit_text(gates=[gate]),
+                                      "simulate", "--circuit")
+        assert_one_line_usage_error(code, out, err)
+        assert "entangling gate 0: " in err and detail in err
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -334,12 +330,10 @@ _CIRCUIT_DOC = str(GOLDEN / "circuit_n3.json")
     (("verify", _CIRCUIT_DOC, "--gates", "3"), "--gates"),
     (("verify", _SCHEDULE_DOC, "--seed", "5"), "--seed"),
     (("verify", _SCHEDULE_DOC, "--shape", "constant"), "--shape"),
-    (("verify", _CIRCUIT_DOC, "--samples", "64"), "--samples"),
-    (("verify", "--random-circuits", "1", "--samples", "8"), "--samples"),
     (("simulate", "--circuit", _CIRCUIT_DOC, "--seed", "5"), "--seed"),
     (("simulate", "--circuit", _CIRCUIT_DOC, "--shots", "0", "--seed", "5"), "--seed"),
-], ids=["path-n-register", "path-gates", "path-seed", "schedule-shape", "circuit-samples",
-        "random-samples", "simulate-seed", "simulate-seed-zero-shots"])
+], ids=["path-n-register", "path-gates", "path-seed", "schedule-shape", "simulate-seed",
+        "simulate-seed-zero-shots"])
 def test_an_option_that_changes_nothing_is_refused(capsys, argv, option):
     # given its default value too: the option is refused for being given at all
     code, out, err = run(capsys, *argv)
@@ -349,7 +343,6 @@ def test_an_option_that_changes_nothing_is_refused(capsys, argv, option):
 
 def test_each_option_is_taken_where_it_applies(capsys):
     run_json(capsys, "verify", _CIRCUIT_DOC, "--shape", "sin_squared")
-    run_json(capsys, "verify", _SCHEDULE_DOC, "--samples", "3")
     run_json(capsys, "verify", "--random-circuits", "1", "--shape", "sin_squared",
              "--n-register", "2", "--gates", "2", "--seed", "1")
     run_json(capsys, "simulate", "--circuit", _CIRCUIT_DOC, "--shots", "3", "--seed", "5")
@@ -445,14 +438,17 @@ def test_argparse_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
-    # --tol only changes what verify checks, and only ep-sweep has a second format
+    # --tol only changes what verify checks, only ep-sweep has a second format,
+    # and the phase bookkeeping is exact, so no command takes --samples
     for argv in (("synth1q", "--theta", "1.0", "--dphi", "0.1", "--tol", "off_block=1"),
                  ("synth2q", "--theta", "1.0", "--tol", "off_block=1"),
                  ("simulate", "--circuit", "-", "--tol", "off_block=1"),
                  ("ep-sweep", "--tol", "off_block=1"),
                  ("phase-report", "--theta", "1.0", "--dphi", "0.1", "--tol", "off_block=1"),
                  ("verify", "--random-circuits", "1", "--format", "json"),
-                 ("simulate", "--circuit", "-", "--format", "json")):
+                 ("simulate", "--circuit", "-", "--format", "json"),
+                 ("verify", _SCHEDULE_DOC, "--samples", "64"),
+                 ("phase-report", "--theta", "1.0", "--dphi", "0.1", "--samples", "64")):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
@@ -550,6 +546,24 @@ def test_document_indices_must_be_integers(capsys, tmp_path, text, argv, field):
     code, out, err = run_document(capsys, tmp_path, text, *argv)
     assert_one_line_usage_error(code, out, err)
     assert field in err and "integer" in err
+
+
+_HUGE = "x" * 10**6
+
+
+@pytest.mark.parametrize("text, argv", [
+    (circuit_text(n_register=_HUGE), ("simulate", "--circuit")),
+    (json.dumps({"n_register": 1, "segments": [], _HUGE: 0}), ("verify",)),
+    (json.dumps({"n_register": 1, "segments": [{"kind": _HUGE}]}), ("verify",)),
+    (json.dumps({"n_register": 1, "segments": [
+        {"kind": "field", "qubit": 0, "beta": 0.0, "shape": _HUGE,
+         "duration": 1.0, "area": 1.0}]}), ("verify",)),
+], ids=["string-n_register", "unknown-key", "unknown-kind", "unknown-shape"])
+def test_an_error_line_cuts_a_huge_value(capsys, tmp_path, text, argv):
+    # the offending value is echoed as its first 60 characters and an ellipsis
+    code, out, err = run_document(capsys, tmp_path, text, *argv)
+    assert_one_line_usage_error(code, out, err)
+    assert "xxx..." in err and len(err) < 200
 
 
 @pytest.mark.parametrize("n_register", ["0", "21"])
