@@ -21,12 +21,11 @@ from . import kernels
 from .pulse import PulseSchedule, evolve
 from .qcore import StateVector, basis_state
 from .single_qubit_holonomy import RotationTarget, synthesize, target_unitary
-from .two_qubit_holonomy import CouplingGateSpec, ideal_block
+from .two_qubit_holonomy import EntanglingGate, ideal_block
 
 __all__ = [
     "StarArchitecture",
     "RotationGate",
-    "EntanglingGate",
     "Circuit",
     "SimulationResult",
     "PostSelectionError",
@@ -76,22 +75,6 @@ class RotationGate:
             raise ValueError(f"qubit index must be nonnegative, got {self.qubit}")
 
 
-@dataclass(frozen=True)
-class EntanglingGate:
-    """Holonomic two-qubit gate on a register pair, parametrized by mix_theta."""
-
-    pair: tuple[int, int]
-    mix_theta: float
-
-    def __post_init__(self):
-        # CouplingGateSpec owns validation (distinct nonnegative pair, mix in [0, pi]).
-        object.__setattr__(self, "pair", CouplingGateSpec(self.mix_theta, self.pair).pair)
-
-    @property
-    def spec(self) -> CouplingGateSpec:
-        return CouplingGateSpec(self.mix_theta, self.pair)
-
-
 Gate = RotationGate | EntanglingGate
 
 
@@ -126,7 +109,7 @@ def compile_circuit(circuit: Circuit, arch: StarArchitecture,
         if isinstance(g, RotationGate):
             segments.extend(synthesize(g.target, g.qubit, arch.n_register, shape).segments)
         else:
-            segments.append(g.spec.segment(shape))
+            segments.append(g.segment(shape))
     return PulseSchedule(tuple(segments), arch.n_register)
 
 

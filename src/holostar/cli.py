@@ -23,7 +23,7 @@ from . import single_qubit_holonomy as sq
 from . import two_qubit_holonomy as tq
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .pulse import ENVELOPE_SHAPES, PulseSchedule
-from .qcore import ket
+from .qcore import _shown, ket
 from .single_qubit_holonomy import RotationTarget
 
 __all__ = ["main"]
@@ -47,12 +47,13 @@ def _resolve_tolerances(pairs: list[str]) -> Tolerances:
     overrides = {}
     for p in pairs:
         name, sep, value = p.partition("=")
-        if not sep:
-            raise _UsageError(f"--tol expects NAME=VALUE, got {p!r}")
         try:
+            if not sep:
+                raise ValueError
             overrides[name] = float(value)
         except ValueError:
-            raise _UsageError(f"--tol {name}: {value!r} is not a number") from None
+            raise _UsageError(f"--tol expects NAME=VALUE with a numeric VALUE, "
+                              f"got {_shown(p)}") from None
     try:
         return DEFAULT_TOLERANCES.with_overrides(overrides) if overrides else DEFAULT_TOLERANCES
     except ValueError as e:
@@ -100,17 +101,16 @@ def cmd_synth1q(args) -> tuple[dict, int]:
 
 
 def cmd_synth2q(args) -> tuple[dict, int]:
-    spec = tq.CouplingGateSpec(args.theta, tuple(args.pair))
-    schedule = PulseSchedule((spec.segment(args.shape),), max(spec.pair) + 1)
-    dec = tq.two_qubit_gate(spec, args.shape)
-    ep = tq.entangling_power(dec.u0)
+    gate = tq.EntanglingGate(tuple(args.pair), args.theta)
+    schedule = PulseSchedule((gate.segment(args.shape),), max(gate.pair) + 1)
+    u0, u1, off = tq.two_qubit_gate(gate, args.shape)
     doc = {
         "command": "synth2q",
         "schedule": ser.schedule_to_dict(schedule),
-        "u0": dec.u0.matrix,
-        "u1": dec.u1.matrix,
-        "off_block_residual": dec.off_block_residual,
-        "entangling_power": ep,
+        "u0": u0,
+        "u1": u1,
+        "off_block_residual": off,
+        "entangling_power": tq.entangling_power(u0),
         "entangling_power_formula": tq.entangling_power_law(args.theta),
     }
     return doc, 0
@@ -127,7 +127,7 @@ def cmd_simulate(args) -> tuple[dict, int]:
     else:
         if len(args.input) != arch.n_register or set(args.input) - {"0", "1"}:
             raise _UsageError(
-                f"--input must be a {arch.n_register}-bit string, got {args.input!r}"
+                f"--input must be a {arch.n_register}-bit string, got {_shown(args.input)}"
             )
         input_state = ket(args.input)
     result = arch_mod.simulate(circuit, arch, input_state, shape=args.shape)
@@ -149,8 +149,9 @@ def cmd_simulate(args) -> tuple[dict, int]:
 
 def cmd_phase_report(args) -> tuple[dict, int]:
     target = RotationTarget(args.theta, args.phi, args.dphi)
-    report = sq.geometric_phase(target, shape=args.shape)
-    ortho = sq.geometric_phase(target, state=target.orthogonal_state(), shape=args.shape)
+    schedule = sq.synthesize(target, shape=args.shape)
+    report = sq.geometric_phase(schedule, target.bloch_state())
+    ortho = sq.geometric_phase(schedule, target.orthogonal_state())
     doc = {
         "command": "phase-report",
         "target": {"theta": target.theta, "phi": target.phi, "dphi": target.dphi},
@@ -170,8 +171,8 @@ def cmd_ep_sweep(args) -> tuple[object, int]:
     step = math.pi / (args.grid - 1)
     rows = []
     for theta in [i * step for i in range(args.grid - 1)] + [math.pi]:
-        dec = tq.two_qubit_gate(tq.CouplingGateSpec(theta))
-        ep = tq.entangling_power(dec.u0)
+        u0, _, _ = tq.two_qubit_gate(tq.EntanglingGate((0, 1), theta))
+        ep = tq.entangling_power(u0)
         law = tq.entangling_power_law(theta)
         rows.append({"theta": theta, "ep_computed": ep,
                      "ep_formula": law, "abs_diff": abs(ep - law)})

@@ -13,6 +13,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .qcore import _shown
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -34,7 +36,7 @@ class Tolerances:
         known = {f.name for f in dataclasses.fields(self)}
         unknown = set(overrides) - known
         if unknown:
-            raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}")
+            raise ValueError(f"unknown tolerance name(s): {_shown(sorted(unknown))}")
         for name, value in overrides.items():
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"tolerance {name} must be finite and nonnegative, got {value}")

@@ -96,10 +96,6 @@ class Operator:
                 raise ValueError(f"operator flagged unitary deviates by {dev:.3e}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

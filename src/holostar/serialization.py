@@ -16,10 +16,11 @@ import sys
 
 import numpy as np
 
-from .architecture import Circuit, EntanglingGate, RotationGate, StarArchitecture
+from .architecture import Circuit, RotationGate, StarArchitecture
 from .pulse import CouplingSegment, Envelope, FieldSegment, PulseSchedule
 from .qcore import _shown
 from .single_qubit_holonomy import RotationTarget
+from .two_qubit_holonomy import EntanglingGate
 
 __all__ = [
     "dumps",

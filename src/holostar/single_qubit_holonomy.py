@@ -125,22 +125,18 @@ def verify_synthesis(target: RotationTarget) -> float:
     return phase_invariant_distance(u, target_unitary(target).matrix)
 
 
-def geometric_phase(target: RotationTarget, state: StateVector | None = None,
-                    shape: str = "constant") -> GeometricPhaseReport:
-    """Transport a state through the synthesized schedule and split its phase.
+def geometric_phase(schedule: PulseSchedule, state: StateVector) -> GeometricPhaseReport:
+    """Transport a state through a schedule of field segments and split its phase.
 
-    With no explicit state the target's own Bloch state is transported (it
-    returns to itself with phase +dphi); its orthogonal partner acquires
-    -dphi.  The dynamical part, minus the time integral of the energy
-    expectation, vanishes for the synthesized drive phases; it and the
-    largest |<H>| are exact, read off :func:`expectation_trace`'s pairs.
+    Through :func:`synthesize`'s schedule the target's Bloch state returns to
+    itself with phase +dphi and its orthogonal partner acquires -dphi.  The
+    dynamical part, minus the time integral of the energy expectation,
+    vanishes for the synthesized drive phases; it and the largest |<H>| are
+    exact, read off :func:`expectation_trace`'s pairs.
     """
-    if state is None:
-        state = target.bloch_state()
-    sched = synthesize(target, shape=shape)
-    overlap = complex(np.vdot(state.amplitudes, evolve(sched, state)))
+    overlap = complex(np.vdot(state.amplitudes, evolve(schedule, state)))
     total = float(np.angle(overlap))
-    trace = expectation_trace(sched, state)
+    trace = expectation_trace(schedule, state)
     dyn = -sum(integral for _, integral in trace)
     return GeometricPhaseReport(
         total_phase=total,

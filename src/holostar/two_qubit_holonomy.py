@@ -22,8 +22,7 @@ from .pulse import CouplingSegment, Envelope, _coupling_pair, segment_unitary
 from .qcore import Operator, partial_trace, purity
 
 __all__ = [
-    "CouplingGateSpec",
-    "BlockDecomposition",
+    "EntanglingGate",
     "SubHolonomies",
     "split_blocks",
     "two_qubit_gate",
@@ -35,11 +34,12 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class CouplingGateSpec:
-    """Mixing angle and register pair for one coupling pulse."""
+class EntanglingGate:
+    """Holonomic two-qubit gate on a register pair: one coupling pulse with
+    mixing angle ``mix_theta`` (a distinct nonnegative pair, mix in [0, pi])."""
 
+    pair: tuple[int, int]
     mix_theta: float
-    pair: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         object.__setattr__(self, "pair", _coupling_pair(self.pair, self.mix_theta))
@@ -47,15 +47,6 @@ class CouplingGateSpec:
     def segment(self, shape: str = "constant") -> CouplingSegment:
         """The area-2pi coupling segment (half the Omega area equals pi)."""
         return CouplingSegment(self.pair, self.mix_theta, Envelope(math.tau, shape))
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The two 4x4 blocks of the pulse propagator and the leakage between them."""
-
-    u0: Operator
-    u1: Operator
-    off_block_residual: float
 
 
 @dataclass(frozen=True)
@@ -79,10 +70,10 @@ def split_blocks(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return b[0], b[3], float(np.abs(b[1:3]).max())
 
 
-def two_qubit_gate(spec: CouplingGateSpec, shape: str = "constant") -> BlockDecomposition:
-    """Evolve the coupling pulse and split the propagator into its two blocks."""
-    u0, u1, off = split_blocks(segment_unitary(spec.segment(shape)).matrix)
-    return BlockDecomposition(Operator(u0, unitary=True), Operator(u1, unitary=True), off)
+def two_qubit_gate(gate: EntanglingGate,
+                   shape: str = "constant") -> tuple[np.ndarray, np.ndarray, float]:
+    """The gate's pulse propagator, split by :func:`split_blocks`."""
+    return split_blocks(segment_unitary(gate.segment(shape)).matrix)
 
 
 def ideal_block(mix_theta: float, aux_state: int) -> np.ndarray:
@@ -113,7 +104,7 @@ _PRODUCT_INPUTS = np.array([np.kron(a, b) for a, b in product(_PAULI_EIGENSTATES
 _PRODUCT_INPUTS.setflags(write=False)
 
 
-def entangling_power(u: Operator) -> float:
+def entangling_power(u: np.ndarray) -> float:
     """Mean linear entropy a two-qubit gate generates from product inputs.
 
     Averages E = 1 - tr(rho_A^2) over the 36 products of Pauli eigenstates,
@@ -121,9 +112,9 @@ def entangling_power(u: Operator) -> float:
     of column vectors maps the 36 inputs, rounding as each ``u @ ab`` does,
     and ``partial_trace`` checks each output density once, as a plain array.
     """
-    if not u.unitary or u.dim != 4:
-        raise ValueError("entangling power requires a unitary-flagged 4x4 operator")
-    phi = u.matrix @ _PRODUCT_INPUTS[:, :, None]
+    if np.shape(u) != (4, 4):
+        raise ValueError(f"entangling power requires a 4x4 unitary, got shape {np.shape(u)}")
+    phi = Operator(u, unitary=True).matrix @ _PRODUCT_INPUTS[:, :, None]
     rho = phi * phi.conj().transpose(0, 2, 1)
     rho_a = np.array([partial_trace(r, keep=(0,), n_qubits=2).matrix for r in rho])
     total = 0.0
@@ -159,16 +150,16 @@ def transport_norm(h_unit: np.ndarray) -> float:
     return float(np.linalg.svd(stack, compute_uv=False).max())
 
 
-def holonomy_decompose(dec: BlockDecomposition) -> SubHolonomies:
+def holonomy_decompose(u0: np.ndarray, u1: np.ndarray) -> SubHolonomies:
     """Extract the loop holonomies sitting on the diagonal of each block.
 
     In the aux=0 block the corners |000> and |101> carry 1x1 holonomies (the
     trivial one and the loop phase -1) around the 2x2 bright-pair holonomy on
     {|001>, |100>}; the aux=1 block mirrors this.  The direct sum of the
     extracted pieces must rebuild the blocks they came from.  Leakage between
-    the blocks is not judged here: ``dec.off_block_residual`` reports it.
+    the blocks is not judged here (:func:`split_blocks` reports it), and
+    neither is the unitarity of a leaky block.
     """
-    u0, u1 = dec.u0.matrix, dec.u1.matrix
     blocks = {
         "C_0^1": u0[3:4, 3:4].copy(),
         "C_0^2": u0[1:3, 1:3].copy(),

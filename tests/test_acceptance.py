@@ -20,7 +20,6 @@ import numpy as np
 
 from holostar.architecture import (
     Circuit,
-    EntanglingGate,
     RotationGate,
     StarArchitecture,
     random_circuit,
@@ -43,7 +42,7 @@ from holostar.single_qubit_holonomy import (
     target_unitary,
 )
 from holostar.two_qubit_holonomy import (
-    CouplingGateSpec,
+    EntanglingGate,
     entangling_power,
     entangling_power_law,
     holonomy_decompose,
@@ -85,12 +84,12 @@ def _block_sweep(shape: str):
     """Per mixing angle: off-block leakage, block-vs-closed-form error, blocks."""
     out = {}
     for theta in MIX_GRID:
-        dec = two_qubit_gate(CouplingGateSpec(float(theta)), shape)
+        u0, u1, off = two_qubit_gate(EntanglingGate((0, 1), float(theta)), shape)
         match = max(
-            float(np.max(np.abs(dec.u0.matrix - ideal_block(float(theta), 0)))),
-            float(np.max(np.abs(dec.u1.matrix - ideal_block(float(theta), 1)))),
+            float(np.max(np.abs(u0 - ideal_block(float(theta), 0)))),
+            float(np.max(np.abs(u1 - ideal_block(float(theta), 1)))),
         )
-        out[float(theta)] = (dec.off_block_residual, match, dec.u0.matrix, dec.u1.matrix)
+        out[float(theta)] = (off, match, u0, u1)
     return out
 
 
@@ -110,10 +109,11 @@ def test_criterion_02_geometric_phase_identity():
     worst_geo = worst_dyn = worst_ortho = 0.0
     for theta, phi, dphi in ROTATION_GRID:
         target = RotationTarget(theta, phi, dphi)
-        rep = geometric_phase(target)
+        schedule = synthesize(target)
+        rep = geometric_phase(schedule, target.bloch_state())
         worst_geo = max(worst_geo, abs(wrap_phase(rep.geometric_phase - dphi)))
         worst_dyn = max(worst_dyn, abs(rep.dynamical_phase))
-        ortho = geometric_phase(target, state=target.orthogonal_state())
+        ortho = geometric_phase(schedule, target.orthogonal_state())
         worst_ortho = max(worst_ortho, abs(wrap_phase(ortho.geometric_phase + dphi)))
         worst_dyn = max(worst_dyn, abs(ortho.dynamical_phase))
     elapsed = time.perf_counter() - start
@@ -179,17 +179,16 @@ def _mc_entangling_power(u: np.ndarray, n_samples: int, seed: int) -> float:
 def test_criterion_05_entangling_power_law():
     worst_law = worst_pair = 0.0
     for theta in MIX_GRID:
-        dec = two_qubit_gate(CouplingGateSpec(float(theta)))
-        ep0 = entangling_power(dec.u0)
-        ep1 = entangling_power(dec.u1)
+        u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), float(theta)))
+        ep0 = entangling_power(u0)
+        ep1 = entangling_power(u1)
         worst_law = max(worst_law, abs(ep0 - entangling_power_law(float(theta))))
         worst_pair = max(worst_pair, abs(ep0 - ep1))
 
-    from holostar.qcore import Operator
-    cnot = Operator(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                             dtype=np.complex128), unitary=True)
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+                    dtype=np.complex128)
     exact = entangling_power(cnot)
-    mc = _mc_entangling_power(cnot.matrix, n_samples=120_000, seed=5)
+    mc = _mc_entangling_power(cnot, n_samples=120_000, seed=5)
     mc_err = abs(exact - mc)
 
     ok = (worst_law <= 1e-10 and worst_pair <= 1e-12
@@ -206,15 +205,16 @@ def test_criterion_05_entangling_power_law():
 def test_criterion_06_holonomy_certification():
     worst_static = worst_dynamic = worst_rebuild = worst_loop = 0.0
     for theta in (PI / 6, PI / 2, 2.2):
-        spec = CouplingGateSpec(theta)
+        gate = EntanglingGate((0, 1), theta)
         # no energy inside any invariant subspace, over the test's own projectors
         h = coupling_hamiltonian(math.cos(theta / 2), math.sin(theta / 2))
         worst_static = max(worst_static, static_transport_residual(h))
         # the supremum over the pulse that ``verify`` reports for the segment
-        checks = verify_schedule(PulseSchedule((spec.segment(),), 2))
+        checks = verify_schedule(PulseSchedule((gate.segment(),), 2))
         worst_dynamic = max(worst_dynamic, next(c["value"] for c in checks
                                                 if c["name"] == "transport_residual"))
-        sub = holonomy_decompose(two_qubit_gate(spec))
+        u0, u1, _ = two_qubit_gate(gate)
+        sub = holonomy_decompose(u0, u1)
         worst_rebuild = max(worst_rebuild, sub.reconstruction_residual)
         worst_loop = max(worst_loop, abs(sub.blocks["C_0^1"][0, 0] + 1.0))
     ok = (worst_static < 1e-15 and worst_dynamic <= 1e-9

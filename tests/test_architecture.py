@@ -9,7 +9,6 @@ from holostar import architecture, kernels, pulse
 from holostar.architecture import (
     MAX_REGISTER,
     Circuit,
-    EntanglingGate,
     PostSelectionError,
     RotationGate,
     StarArchitecture,
@@ -21,7 +20,7 @@ from holostar.architecture import (
 from holostar.pulse import CouplingSegment, FieldSegment
 from holostar.qcore import StateVector, basis_state, density, ket, partial_trace, purity
 from holostar.single_qubit_holonomy import RotationTarget, target_unitary
-from holostar.two_qubit_holonomy import ideal_block
+from holostar.two_qubit_holonomy import EntanglingGate, ideal_block
 
 from conftest import dense_post_selected, gate_product, haar_state, phase_aligned_deviation
 

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from holostar.architecture import Circuit, EntanglingGate, RotationGate, StarArchitecture
+from holostar.architecture import Circuit, RotationGate, StarArchitecture
 from holostar.pulse import CouplingSegment, Envelope, FieldSegment, PulseSchedule
 from holostar.serialization import (
     _quote,
@@ -21,6 +21,7 @@ from holostar.serialization import (
     unwrap_document,
 )
 from holostar.single_qubit_holonomy import RotationTarget
+from holostar.two_qubit_holonomy import EntanglingGate
 
 
 def sample_schedule():

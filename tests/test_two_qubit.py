@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from holostar.certify import verify_schedule
 from holostar.pulse import (CouplingSegment, Envelope, PulseSchedule, coupling_hamiltonian,
                             segment_unitary)
-from holostar.qcore import Operator, StateVector, density, partial_trace, purity
+from holostar.qcore import StateVector, density, partial_trace, purity
 from holostar.two_qubit_holonomy import (
     _PRODUCT_INPUTS,
-    BlockDecomposition,
-    CouplingGateSpec,
+    EntanglingGate,
     entangling_power,
     entangling_power_law,
     holonomy_decompose,
@@ -49,22 +48,21 @@ def checked_route_entangling_power(u):
     """The per-input checked route: each output state through StateVector,
     density, partial_trace and purity.  Oracle for entangling_power, which
     must give the same float to the last bit."""
-    m = u.matrix
     total = 0.0
     for ab in _PRODUCT_INPUTS:
-        rho_a = partial_trace(density(StateVector(m @ ab)), keep=(0,), n_qubits=2)
+        rho_a = partial_trace(density(StateVector(u @ ab)), keep=(0,), n_qubits=2)
         total += 1.0 - purity(rho_a)
     return total / 36.0
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        CouplingGateSpec(-0.1)
+        EntanglingGate((0, 1), -0.1)
     with pytest.raises(ValueError):
-        CouplingGateSpec(math.pi + 0.1)
+        EntanglingGate((0, 1), math.pi + 0.1)
     with pytest.raises(ValueError):
-        CouplingGateSpec(1.0, (2, 2))
-    seg = CouplingGateSpec(1.0).segment()
+        EntanglingGate((2, 2), 1.0)
+    seg = EntanglingGate((0, 1), 1.0).segment()
     assert seg.envelope.area == math.tau  # half the coupling area equals pi
 
 
@@ -95,26 +93,26 @@ def test_spin_form_equals_ladder_form(rng):
 
 
 def test_block_structure_theta_zero():
-    dec = two_qubit_gate(CouplingGateSpec(0.0))
-    assert np.allclose(dec.u0.matrix, np.diag([1, 1, -1, -1]), atol=1e-10)
-    assert np.allclose(dec.u1.matrix, np.diag([-1, -1, 1, 1]), atol=1e-10)
+    u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), 0.0))
+    assert np.allclose(u0, np.diag([1, 1, -1, -1]), atol=1e-10)
+    assert np.allclose(u1, np.diag([-1, -1, 1, 1]), atol=1e-10)
 
 
 def test_block_structure_theta_half_pi():
-    dec = two_qubit_gate(CouplingGateSpec(math.pi / 2))
+    u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), math.pi / 2))
     mid = np.array([[0, -1], [-1, 0]])
-    assert np.allclose(dec.u0.matrix[1:3, 1:3], mid, atol=1e-10)
-    assert abs(dec.u0.matrix[0, 0] - 1) < 1e-10 and abs(dec.u0.matrix[3, 3] + 1) < 1e-10
-    assert np.allclose(dec.u1.matrix[1:3, 1:3], mid, atol=1e-10)
-    assert abs(dec.u1.matrix[0, 0] + 1) < 1e-10 and abs(dec.u1.matrix[3, 3] - 1) < 1e-10
+    assert np.allclose(u0[1:3, 1:3], mid, atol=1e-10)
+    assert abs(u0[0, 0] - 1) < 1e-10 and abs(u0[3, 3] + 1) < 1e-10
+    assert np.allclose(u1[1:3, 1:3], mid, atol=1e-10)
+    assert abs(u1[0, 0] + 1) < 1e-10 and abs(u1[3, 3] - 1) < 1e-10
 
 
 @pytest.mark.parametrize("theta", np.linspace(0, math.pi, 32))
 def test_blocks_match_closed_form_across_grid(theta):
-    dec = two_qubit_gate(CouplingGateSpec(float(theta)))
-    assert dec.off_block_residual <= 1e-10
-    assert np.max(np.abs(dec.u0.matrix - ideal_block(theta, 0))) <= 1e-10
-    assert np.max(np.abs(dec.u1.matrix - ideal_block(theta, 1))) <= 1e-10
+    u0, u1, off = two_qubit_gate(EntanglingGate((0, 1), float(theta)))
+    assert off <= 1e-10
+    assert np.max(np.abs(u0 - ideal_block(theta, 0))) <= 1e-10
+    assert np.max(np.abs(u1 - ideal_block(theta, 1))) <= 1e-10
 
 
 def test_split_blocks_reports_leakage_without_raising():
@@ -158,17 +156,17 @@ def test_split_blocks_matches_the_permuted_route(rng):
 
 @given(mix_angles)
 def test_involution(theta):
-    dec = two_qubit_gate(CouplingGateSpec(theta))
-    assert np.max(np.abs(dec.u0.matrix @ dec.u0.matrix - np.eye(4))) < 1e-10
-    assert np.max(np.abs(dec.u1.matrix @ dec.u1.matrix - np.eye(4))) < 1e-10
+    u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), theta))
+    assert np.max(np.abs(u0 @ u0 - np.eye(4))) < 1e-10
+    assert np.max(np.abs(u1 @ u1 - np.eye(4))) < 1e-10
 
 
 def test_envelope_profile_invariance():
     for theta in (0.4, math.pi / 2, 2.8):
-        a = two_qubit_gate(CouplingGateSpec(theta), shape="constant")
-        b = two_qubit_gate(CouplingGateSpec(theta), shape="sin_squared")
-        assert np.max(np.abs(a.u0.matrix - b.u0.matrix)) <= 1e-10
-        assert np.max(np.abs(a.u1.matrix - b.u1.matrix)) <= 1e-10
+        a = two_qubit_gate(EntanglingGate((0, 1), theta), shape="constant")
+        b = two_qubit_gate(EntanglingGate((0, 1), theta), shape="sin_squared")
+        assert np.max(np.abs(a[0] - b[0])) <= 1e-10
+        assert np.max(np.abs(a[1] - b[1])) <= 1e-10
 
 
 def test_ideal_block_rejects_bad_aux():
@@ -178,31 +176,31 @@ def test_ideal_block_rejects_bad_aux():
 
 class TestEntanglingPower:
     def test_identity(self):
-        assert entangling_power(Operator(np.eye(4), unitary=True)) < 1e-15
+        assert entangling_power(np.eye(4)) < 1e-15
 
     def test_cnot(self):
         cnot = np.eye(4)[[0, 1, 3, 2]]
-        ep = entangling_power(Operator(cnot, unitary=True))
+        ep = entangling_power(cnot)
         assert abs(ep - 2.0 / 9.0) < 1e-12
 
     def test_u0_values(self):
-        dec = two_qubit_gate(CouplingGateSpec(math.pi / 2))
-        assert abs(entangling_power(dec.u0) - 2.0 / 9.0) < 1e-10
-        dec = two_qubit_gate(CouplingGateSpec(math.pi / 3))
-        assert abs(entangling_power(dec.u0) - 5.0 / 24.0) < 1e-10
+        u0, _, _ = two_qubit_gate(EntanglingGate((0, 1), math.pi / 2))
+        assert abs(entangling_power(u0) - 2.0 / 9.0) < 1e-10
+        u0, _, _ = two_qubit_gate(EntanglingGate((0, 1), math.pi / 3))
+        assert abs(entangling_power(u0) - 5.0 / 24.0) < 1e-10
 
     @pytest.mark.parametrize("theta", np.linspace(0, math.pi, 16))
     def test_law_and_block_equality(self, theta):
-        dec = two_qubit_gate(CouplingGateSpec(float(theta)))
-        e0, e1 = entangling_power(dec.u0), entangling_power(dec.u1)
+        u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), float(theta)))
+        e0, e1 = entangling_power(u0), entangling_power(u1)
         assert abs(e0 - entangling_power_law(theta)) <= 1e-10
         assert abs(e0 - e1) <= 1e-12
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            entangling_power(Operator(np.eye(4) * 2))
-        with pytest.raises(ValueError):
-            entangling_power(Operator(np.eye(8), unitary=True))
+        with pytest.raises(ValueError, match="unitary"):
+            entangling_power(np.eye(4) * 2)
+        with pytest.raises(ValueError, match="4x4"):
+            entangling_power(np.eye(8))
 
     def test_product_table_is_the_kron_products(self):
         expected = [np.kron(a, b) for a, b in product(PAULI_EIGENSTATES, repeat=2)]
@@ -212,22 +210,22 @@ class TestEntanglingPower:
 
     def test_kron_loop_oracle_on_random_unitaries(self, rng):
         for _ in range(20):
-            u = Operator(random_unitary(4, rng), unitary=True)
-            assert abs(entangling_power(u) - kron_loop_entangling_power(u.matrix)) <= 1e-15
+            u = random_unitary(4, rng)
+            assert abs(entangling_power(u) - kron_loop_entangling_power(u)) <= 1e-15
             assert entangling_power(u) == checked_route_entangling_power(u)
 
-    @pytest.mark.parametrize("block", ["u0", "u1"])
+    @pytest.mark.parametrize("block", [0, 1], ids=["u0", "u1"])
     def test_kron_loop_oracle_on_angle_grid(self, block):
         for theta in np.linspace(0, math.pi, 32):
-            u = getattr(two_qubit_gate(CouplingGateSpec(float(theta))), block)
-            assert abs(entangling_power(u) - kron_loop_entangling_power(u.matrix)) <= 1e-15
+            u = two_qubit_gate(EntanglingGate((0, 1), float(theta)))[block]
+            assert abs(entangling_power(u) - kron_loop_entangling_power(u)) <= 1e-15
             assert entangling_power(u) == checked_route_entangling_power(u)
 
-    @pytest.mark.parametrize("block", ["u0", "u1"])
+    @pytest.mark.parametrize("block", [0, 1], ids=["u0", "u1"])
     def test_partial_trace_of_each_product_density_is_the_einsum_route(self, block):
         # bit for bit on the 36 densities entangling_power hands partial_trace
         for theta in np.linspace(0, math.pi, 65):
-            u = getattr(two_qubit_gate(CouplingGateSpec(float(theta))), block).matrix
+            u = two_qubit_gate(EntanglingGate((0, 1), float(theta)))[block]
             phi = u @ _PRODUCT_INPUTS[:, :, None]
             for rho in phi * phi.conj().transpose(0, 2, 1):
                 for keep in ((0,), (1,)):
@@ -259,18 +257,18 @@ class TestParallelTransport:
     def test_transport_residuals(self):
         # the exact supremum over the pulse, as ``verify`` reports it
         for shape in ("constant", "sin_squared"):
-            schedule = PulseSchedule((CouplingGateSpec(math.pi / 4).segment(shape),), 2)
+            schedule = PulseSchedule((EntanglingGate((0, 1), math.pi / 4).segment(shape),), 2)
             [record] = [c for c in verify_schedule(schedule)
                         if c["name"] == "transport_residual"]
             assert record["pass"] and record["value"] <= 1e-9
 
     def test_sub_holonomy_values(self):
-        dec = two_qubit_gate(CouplingGateSpec(math.pi / 2))
-        sub = holonomy_decompose(dec)
+        u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), math.pi / 2))
+        sub = holonomy_decompose(u0, u1)
         assert np.allclose(sub.blocks["C_0^1"], [[-1]], atol=1e-10)
         assert np.allclose(sub.blocks["C_1^1"], [[-1]], atol=1e-10)
         assert np.allclose(sub.blocks["C_0^2"], [[0, -1], [-1, 0]], atol=1e-10)
-        assert abs(entangling_power(dec.u0) - 2.0 / 9.0) < 1e-10
+        assert abs(entangling_power(u0) - 2.0 / 9.0) < 1e-10
 
 
 def _sampled_transport_oracle(h_unit, env, samples):
@@ -350,13 +348,15 @@ def test_peak_times_transport_norm_is_the_supremum(shape):
 
 class TestHolonomyDecompose:
     def test_theta_zero(self):
-        sub = holonomy_decompose(two_qubit_gate(CouplingGateSpec(0.0)))
+        u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), 0.0))
+        sub = holonomy_decompose(u0, u1)
         assert np.allclose(sub.blocks["C_0^2"], np.diag([1, -1]), atol=1e-12)
         assert sub.reconstruction_residual <= 1e-10
 
     @given(mix_angles)
     def test_reflection_blocks(self, theta):
-        sub = holonomy_decompose(two_qubit_gate(CouplingGateSpec(theta)))
+        u0, u1, _ = two_qubit_gate(EntanglingGate((0, 1), theta))
+        sub = holonomy_decompose(u0, u1)
         for key in ("C_0^2", "C_1^2"):
             det = np.linalg.det(sub.blocks[key])
             assert abs(det + 1.0) < 1e-10  # real reflection: determinant -1
@@ -368,9 +368,8 @@ class TestHolonomyDecompose:
         # leakage between them stays on record for the caller to judge
         seg = CouplingSegment((0, 1), 1.0, Envelope(math.tau + 2e-8))
         u0, u1, off = split_blocks(segment_unitary(seg).matrix)
-        dec = BlockDecomposition(Operator(u0, unitary=True), Operator(u1, unitary=True), off)
-        assert holonomy_decompose(dec).reconstruction_residual <= 1e-10
-        assert dec.off_block_residual == pytest.approx(8.7758e-9, rel=1e-4)
+        assert holonomy_decompose(u0, u1).reconstruction_residual <= 1e-10
+        assert off == pytest.approx(8.7758e-9, rel=1e-4)
 
     def test_reconstruction_residual_matches_rebuilt_blocks(self, rng):
         # oracle: build the direct sum of the pieces and the trivial corners
@@ -382,6 +381,5 @@ class TestHolonomyDecompose:
             rebuilt1 = np.zeros((4, 4), dtype=complex)
             rebuilt1[0, 0], rebuilt1[1:3, 1:3], rebuilt1[3, 3] = u1[0, 0], u1[1:3, 1:3], 1.0
             want = max(np.abs(rebuilt0 - u0).max(), np.abs(rebuilt1 - u1).max())
-            dec = BlockDecomposition(Operator(u0, unitary=True), Operator(u1, unitary=True), 0.0)
-            assert holonomy_decompose(dec).reconstruction_residual == want
+            assert holonomy_decompose(u0, u1).reconstruction_residual == want
 
